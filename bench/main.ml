@@ -497,17 +497,17 @@ let run_checked () =
   in
   let r = Octo_experiments.Tracecheck.run () in
   Printf.printf "check: %d events, %d lookups (%d converged)\n"
-    (Octo_sim.Trace.seen r.Octo_experiments.Tracecheck.trace)
-    r.Octo_experiments.Tracecheck.lookups_done
-    r.Octo_experiments.Tracecheck.lookups_converged;
+    (Octo_sim.Trace.seen r.Octo_experiments.Regime.trace)
+    r.Octo_experiments.Regime.lookups_done
+    r.Octo_experiments.Regime.lookups_converged;
   (match trace_file with
   | Some path ->
     let oc = open_out path in
-    Octo_sim.Trace.dump_jsonl r.Octo_experiments.Tracecheck.trace oc;
+    Octo_sim.Trace.dump_jsonl r.Octo_experiments.Regime.trace oc;
     close_out oc
   | None -> ());
-  Octopus.Invariant.report r.Octo_experiments.Tracecheck.checker Format.std_formatter;
-  if not (Octopus.Invariant.ok r.Octo_experiments.Tracecheck.checker) then exit 1
+  Octopus.Invariant.report r.Octo_experiments.Regime.checker Format.std_formatter;
+  if not (Octopus.Invariant.ok r.Octo_experiments.Regime.checker) then exit 1
 
 let () =
   let skip_micro = Array.exists (fun a -> a = "--no-micro") Sys.argv in

@@ -204,417 +204,142 @@ let all_cmd =
   Cmd.v (Cmd.info "all" ~doc:"Every artifact at reduced scale") Term.(const run $ const ())
 
 (* ------------------------------------------------------------------ *)
-(* trace: structured tracing + invariant checking *)
+(* run: the gated regimes (trace, chaos, attack, load, scale) *)
 
-let trace_cmd =
-  let run n duration seed trace_file check misroute =
-    if n < 8 then begin
-      prerr_endline "octopus-repro: trace needs -n >= 8 (successor-list bootstrap)";
-      exit 2
-    end;
-    (* Fail on an unwritable trace path before simulating, not after. *)
-    let trace_out =
-      match trace_file with
-      | None -> None
-      | Some path -> (
-        try Some (path, open_out path)
-        with Sys_error e ->
-          Printf.eprintf "octopus-repro: cannot write trace file: %s\n" e;
-          exit 2)
-    in
-    if misroute then
-      Octopus.Olookup.set_test_misroute
-        (Some (fun (peer : Octopus.Olookup.Peer.t) -> { peer with Octopus.Olookup.Peer.id = peer.Octopus.Olookup.Peer.id + 1 }));
-    let r = Tracecheck.run ~n ~duration ~seed () in
-    Octopus.Olookup.set_test_misroute None;
-    Printf.printf "trace: %d events captured (%d retained), %d lookups (%d converged)\n"
-      (Octo_sim.Trace.seen r.Tracecheck.trace)
-      (List.length (Octo_sim.Trace.events r.Tracecheck.trace))
-      r.Tracecheck.lookups_done r.Tracecheck.lookups_converged;
-    (match trace_out with
-    | Some (path, oc) ->
-      Octo_sim.Trace.dump_jsonl r.Tracecheck.trace oc;
-      close_out oc;
-      Printf.printf "trace: events written to %s\n" path
-    | None -> ());
-    if check then begin
-      Octopus.Invariant.report r.Tracecheck.checker Format.std_formatter;
-      if not (Octopus.Invariant.ok r.Tracecheck.checker) then exit 1
-    end
+let run_cmd =
+  let fail fmt = Printf.ksprintf (fun msg -> prerr_endline ("octopus-repro: " ^ msg); exit 2) fmt in
+  let open_out_or_fail what path =
+    try open_out path with Sys_error e -> fail "cannot write %s: %s" what e
   in
-  let n = Arg.(value & opt int 80 & info [ "n" ] ~doc:"Network size.") in
-  let duration = Arg.(value & opt float 120.0 & info [ "duration" ] ~doc:"Simulated seconds.") in
+  let run selected n duration seed queries cache chaos trace_file json_file check misroute =
+    let regimes = List.concat selected in
+    if queries < 1 then fail "--queries must be >= 1";
+    let params (r : Regime.t) =
+      {
+        Regime.n = Option.value n ~default:r.Regime.default_n;
+        duration = Option.value duration ~default:r.Regime.default_duration;
+        seed;
+        queries;
+        cache;
+        chaos;
+      }
+    in
+    List.iter
+      (fun (r : Regime.t) ->
+        let p = params r in
+        if p.Regime.n < r.Regime.min_n then
+          fail "%s needs -n >= %d" (Regime.id r) r.Regime.min_n)
+      regimes;
+    let json_out = Option.map (fun path -> (path, open_out_or_fail "json report" path)) json_file in
+    let many = List.length regimes > 1 in
+    let runs =
+      List.map
+        (fun (r : Regime.t) ->
+          let id = Regime.id r in
+          (* One file per regime when several run in one invocation; open
+             it before simulating so a bad path fails fast. *)
+          let trace_out =
+            Option.map
+              (fun path ->
+                let path = if many then path ^ "." ^ r.Regime.suite ^ "." ^ r.Regime.name else path in
+                (path, open_out_or_fail "trace file" path))
+              trace_file
+          in
+          if misroute then
+            Octopus.Olookup.set_test_misroute
+              (Some (fun (peer : Octopus.Olookup.Peer.t) ->
+                   { peer with Octopus.Olookup.Peer.id = peer.Octopus.Olookup.Peer.id + 1 }));
+          let p = params r in
+          let o = r.Regime.body p in
+          Octopus.Olookup.set_test_misroute None;
+          print_string (Regime.render ~check r o);
+          Option.iter
+            (fun (path, oc) ->
+              Octo_sim.Trace.dump_jsonl o.Regime.trace oc;
+              close_out oc;
+              Printf.printf "%s trace written to %s\n" id path)
+            trace_out;
+          (r, p, o))
+        regimes
+    in
+    Option.iter
+      (fun (path, oc) ->
+        output_string oc (Regime.json runs);
+        close_out oc;
+        Printf.printf "run report written to %s\n" path)
+      json_out;
+    if
+      List.exists
+        (fun (r, _, o) ->
+          (not (Regime.passed r o)) || (check && not (Octopus.Invariant.ok o.Regime.checker)))
+        runs
+    then exit 1
+  in
+  let selected =
+    let parse s =
+      match Registry.select s with
+      | Some rs -> Ok rs
+      | None -> Error (`Msg (Printf.sprintf "unknown suite or regime %S" s))
+    in
+    let print ppf rs = Format.pp_print_string ppf (String.concat " " (List.map Regime.id rs)) in
+    Arg.(non_empty & pos_all (conv (parse, print)) []
+         & info [] ~docv:"SUITE[/REGIME]"
+             ~doc:"Regimes to run: a whole suite (trace, chaos, attack, load, scale) or one \
+                   SUITE/REGIME.")
+  in
+  let n =
+    Arg.(value & opt (some int) None
+         & info [ "n" ] ~doc:"Network size (default: each regime's own).")
+  in
+  let duration =
+    Arg.(value & opt (some float) None
+         & info [ "duration" ]
+             ~doc:"Simulated seconds (default: each regime's own; load derives it from --queries).")
+  in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"RNG seed.") in
+  let queries =
+    Arg.(value & opt int 2000 & info [ "queries" ] ~doc:"Open-loop arrivals to generate (load).")
+  in
+  let cache =
+    Arg.(value & flag & info [ "cache" ]
+           ~doc:"Enable the hot-key result cache (load, and attack/eclipse, whose \
+                 conviction-driven revocations must flush it).")
+  in
+  let chaos =
+    Arg.(value & flag & info [ "chaos" ]
+           ~doc:"Overlay the dup-reorder fault plan plus graceful-degradation knobs (load).")
+  in
   let trace_file =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Write the captured event stream to $(docv) as JSON Lines.")
+           ~doc:"Write each regime's event stream as JSON Lines; with several regimes in \
+                 one invocation $(docv) gets a .SUITE.REGIME suffix per regime.")
+  in
+  let json_file =
+    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
+           ~doc:"Write the octopus-run/v1 JSON report of every regime run to $(docv).")
   in
   let check =
     Arg.(value & flag & info [ "check-invariants" ]
-           ~doc:"Run the online invariant checker; exit 1 on any violation.")
+           ~doc:"Report the online invariant checker (including the end-of-run ring \
+                 convergence and eclipse watch); exit 1 on any violation.")
   in
   let misroute =
     Arg.(value & flag & info [ "inject-misroute" ]
            ~doc:"Deliberately corrupt lookup results (test hook) — the checker must catch it.")
   in
   Cmd.v
-    (Cmd.info "trace" ~doc:"Traced end-to-end scenario with online invariant checking")
-    Term.(const run $ n $ duration $ seed $ trace_file $ check $ misroute)
-
-(* ------------------------------------------------------------------ *)
-(* chaos: fault injection + graceful degradation *)
-
-let chaos_cmd =
-  let run regimes n duration seed trace_file check =
-    if n < 16 then begin
-      prerr_endline "octopus-repro: chaos needs -n >= 16 (partition/crash group sizing)";
-      exit 2
-    end;
-    let regimes = if regimes = [] then Chaos_exp.all_regimes else regimes in
-    let many = List.length regimes > 1 in
-    let failed = ref false in
-    List.iter
-      (fun regime ->
-        let name = Chaos_exp.regime_name regime in
-        let r = Chaos_exp.run ~n ~duration ~seed ~regime () in
-        let rate = Chaos_exp.success_rate r in
-        let floor = Chaos_exp.threshold regime in
-        Printf.printf
-          "chaos %-11s lookups %3d/%3d ok (%.0f%%, floor %.0f%%)  drops %d corrupt %d dup %d reorder %d crash %d\n"
-          name r.Chaos_exp.lookups_converged r.Chaos_exp.lookups_done (100. *. rate)
-          (100. *. floor) r.Chaos_exp.drops r.Chaos_exp.corruptions r.Chaos_exp.duplicates
-          r.Chaos_exp.reorders r.Chaos_exp.crashes;
-        (match trace_file with
-        | Some path ->
-          (* One file per regime when several run in one invocation. *)
-          let path = if many then path ^ "." ^ name else path in
-          (try
-             let oc = open_out path in
-             Octo_sim.Trace.dump_jsonl r.Chaos_exp.trace oc;
-             close_out oc;
-             Printf.printf "chaos %-11s trace written to %s\n" name path
-           with Sys_error e ->
-             Printf.eprintf "octopus-repro: cannot write trace file: %s\n" e;
-             exit 2)
-        | None -> ());
-        if not (Chaos_exp.passed r) then begin
-          Printf.printf "chaos %-11s FAILED: success rate below the documented floor\n" name;
-          failed := true
-        end;
-        if check then begin
-          Octopus.Invariant.report r.Chaos_exp.checker Format.std_formatter;
-          if not (Octopus.Invariant.ok r.Chaos_exp.checker) then failed := true
-        end)
-      regimes;
-    if !failed then exit 1
-  in
-  let regimes =
-    let names = List.map (fun r -> (Chaos_exp.regime_name r, r)) Chaos_exp.all_regimes in
-    Arg.(value & pos_all (enum names) [] & info [] ~docv:"REGIME"
-           ~doc:"Fault regimes to run (default: all).")
-  in
-  let n = Arg.(value & opt int 60 & info [ "n" ] ~doc:"Network size.") in
-  let duration = Arg.(value & opt float 240.0 & info [ "duration" ] ~doc:"Simulated seconds.") in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"RNG seed.") in
-  let trace_file =
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Write each regime's event stream as JSON Lines; with several \
-                 regimes in one invocation the regime name is appended to $(docv).")
-  in
-  let check =
-    Arg.(value & flag & info [ "check-invariants" ]
-           ~doc:"Run the online invariant checker (including post-heal convergence \
-                 and corrupted-document acceptance); exit 1 on any violation.")
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:"Lookup workload under fault injection: partitions, corruption, \
-             duplication/reordering, crash bursts, regional outages")
-    Term.(const run $ regimes $ n $ duration $ seed $ trace_file $ check)
-
-(* ------------------------------------------------------------------ *)
-(* attack: active-adversary campaigns *)
-
-let attack_cmd =
-  let run regimes n duration seed cache trace_file check =
-    if n < 16 then begin
-      prerr_endline "octopus-repro: attack needs -n >= 16 (colluder group sizing)";
-      exit 2
-    end;
-    let regimes = if regimes = [] then Attack_exp.all_regimes else regimes in
-    let many = List.length regimes > 1 in
-    let failed = ref false in
-    List.iter
-      (fun regime ->
-        let name = Attack_exp.regime_name regime in
-        let r = Attack_exp.run ~n ~duration ~seed ~cache ~regime () in
-        let rate = Attack_exp.success_rate r in
-        let floor = Attack_exp.threshold regime in
-        Printf.printf "attack %-11s lookups %3d/%3d ok (%.0f%%, floor %.0f%%)\n" name
-          r.Attack_exp.lookups_converged r.Attack_exp.lookups_done (100. *. rate)
-          (100. *. floor);
-        (match regime with
-        | Attack_exp.Sybil_flood ->
-          Printf.printf
-            "attack %-11s admissions %d/%d granted (cap %d), refused %d\n" name
-            r.Attack_exp.sybils_admitted r.Attack_exp.sybil_requests r.Attack_exp.sybil_cap
-            r.Attack_exp.sybil_refused;
-          List.iter
-            (fun (c : Attack_exp.cost_point) ->
-              Printf.printf
-                "attack %-11s cost %-16s requests %6d admitted %6d owned %d/%d %s\n" name
-                c.Attack_exp.c_label c.Attack_exp.c_requests c.Attack_exp.c_admitted
-                c.Attack_exp.c_owned
-                Octopus.Config.default.Octopus.Config.list_size
-                (if c.Attack_exp.c_success then "ECLIPSED" else "held"))
-            r.Attack_exp.cost_curve;
-          Printf.printf "attack %-11s id-assignment raises eclipse cost %.0fx\n" name
-            (Attack_exp.cost_factor r.Attack_exp.cost_curve)
-        | Attack_exp.Eclipse ->
-          Printf.printf
-            "attack %-11s eclipsed peak %d, revocations %d, cache flushes %d\n" name
-            r.Attack_exp.eclipsed_peak r.Attack_exp.revocations r.Attack_exp.cache_flushes
-        | Attack_exp.Churn_range ->
-          Printf.printf
-            "attack %-11s estimator fresh %d/%d hit, stale %d/%d hit\n" name
-            r.Attack_exp.fresh_hits r.Attack_exp.fresh_total r.Attack_exp.stale_hits
-            r.Attack_exp.stale_total);
-        (match trace_file with
-        | Some path ->
-          (* One file per regime when several run in one invocation. *)
-          let path = if many then path ^ "." ^ name else path in
-          (try
-             let oc = open_out path in
-             Octo_sim.Trace.dump_jsonl r.Attack_exp.trace oc;
-             close_out oc;
-             Printf.printf "attack %-11s trace written to %s\n" name path
-           with Sys_error e ->
-             Printf.eprintf "octopus-repro: cannot write trace file: %s\n" e;
-             exit 2)
-        | None -> ());
-        if not (Attack_exp.passed r) then begin
-          Printf.printf "attack %-11s FAILED: below the documented floor\n" name;
-          failed := true
-        end;
-        if check then begin
-          Octopus.Invariant.report r.Attack_exp.checker Format.std_formatter;
-          if not (Octopus.Invariant.ok r.Attack_exp.checker) then failed := true
-        end)
-      regimes;
-    if !failed then exit 1
-  in
-  let regimes =
-    let names = List.map (fun r -> (Attack_exp.regime_name r, r)) Attack_exp.all_regimes in
-    Arg.(value & pos_all (enum names) [] & info [] ~docv:"REGIME"
-           ~doc:"Attack regimes to run (default: all).")
-  in
-  let n = Arg.(value & opt int 60 & info [ "n" ] ~doc:"Network size.") in
-  let duration = Arg.(value & opt float 240.0 & info [ "duration" ] ~doc:"Simulated seconds.") in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"RNG seed.") in
-  let cache =
-    Arg.(value & flag & info [ "cache" ]
-           ~doc:"Enable the hot-key result cache during the eclipse regime \
-                 (conviction-driven revocations must flush it).")
-  in
-  let trace_file =
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Write each regime's event stream as JSON Lines; with several \
-                 regimes in one invocation the regime name is appended to $(docv).")
-  in
-  let check =
-    Arg.(value & flag & info [ "check-invariants" ]
-           ~doc:"Run the online invariant checker (including post-campaign \
-                 convergence and the eclipse watch); exit 1 on any violation.")
-  in
-  Cmd.v
-    (Cmd.info "attack"
-       ~doc:"Lookup workload under active adversaries: Sybil identifier flooding \
-             against the CA's admission defense, eclipse timed with partition \
-             heals, and range estimation under churn")
-    Term.(const run $ regimes $ n $ duration $ seed $ cache $ trace_file $ check)
-
-(* ------------------------------------------------------------------ *)
-(* load: open-loop heavy-traffic workload *)
-
-let load_cmd =
-  let run regime n queries seed cache chaos trace_file json_file check =
-    if n < 8 then begin
-      prerr_endline "octopus-repro: load needs -n >= 8";
-      exit 2
-    end;
-    if queries < 1 then begin
-      prerr_endline "octopus-repro: load needs --queries >= 1";
-      exit 2
-    end;
-    let name = Workload.regime_name regime in
-    let r = Workload.run ~n ~seed ~queries ~cache ~chaos ~regime () in
-    let rate = Workload.success_rate r in
-    let floor = Workload.threshold regime in
-    let q s p = Octo_sim.Metrics.Sketch.quantile s p in
-    Printf.printf
-      "load %-7s queries %d issued %d done %d ok %d (%.1f%%, floor %.0f%%) skipped %d  sim %.0fs\n"
-      name r.Workload.requested r.Workload.issued r.Workload.completed r.Workload.converged
-      (100. *. rate) (100. *. floor) r.Workload.skipped r.Workload.duration;
-    Printf.printf "load %-7s latency p50 %.3fs p99 %.3fs p999 %.3fs max %.3fs (+/-%.1f%% rel err)\n"
-      name (q r.Workload.latency 0.5) (q r.Workload.latency 0.99)
-      (q r.Workload.latency 0.999)
-      (Octo_sim.Metrics.Sketch.max r.Workload.latency)
-      (100. *. Octo_sim.Metrics.Sketch.relative_error);
-    Printf.printf "load %-7s bandwidth/node mean %s B/s p99 %s B/s  rpc queued %d\n" name
-      (Octo_sim.Metrics.fmt_float (Octo_sim.Metrics.Sketch.mean r.Workload.bandwidth))
-      (Octo_sim.Metrics.fmt_float (q r.Workload.bandwidth 0.99))
-      r.Workload.rpc_queued;
-    if r.Workload.duplicates > 0 then
-      Printf.printf "load %-7s delivered %d (%d duplicated, factor %.4f)\n" name
-        r.Workload.delivered r.Workload.duplicates (Workload.duplicate_factor r);
-    if cache then begin
-      Printf.printf "load %-7s cache hits %d/%d (%.1f%%)\n" name r.Workload.cache_hits
-        r.Workload.completed
-        (if r.Workload.completed = 0 then 0.0
-         else 100. *. float_of_int r.Workload.cache_hits /. float_of_int r.Workload.completed);
-      match r.Workload.entropy with
-      | Some e ->
-        Printf.printf
-          "load %-7s anonymity H %.3f -> %.3f bits (leaked %.3f, degree %.3f) over %d observed / %d suppressed\n"
-          name e.Octo_anonymity.Cache_entropy.h_baseline
-          e.Octo_anonymity.Cache_entropy.h_effective e.Octo_anonymity.Cache_entropy.bits_leaked
-          e.Octo_anonymity.Cache_entropy.degree e.Octo_anonymity.Cache_entropy.observed_total
-          e.Octo_anonymity.Cache_entropy.suppressed_total
-      | None -> ()
-    end;
-    (match trace_file with
-    | Some path -> (
-      try
-        let oc = open_out path in
-        Octo_sim.Trace.dump_jsonl r.Workload.trace oc;
-        close_out oc;
-        Printf.printf "load %-7s trace written to %s\n" name path
-      with Sys_error e ->
-        Printf.eprintf "octopus-repro: cannot write trace file: %s\n" e;
-        exit 2)
-    | None -> ());
-    (match json_file with
-    | Some path -> (
-      try
-        let oc = open_out path in
-        output_string oc (Workload.summary_json r);
-        close_out oc;
-        Printf.printf "load %-7s summary written to %s\n" name path
-      with Sys_error e ->
-        Printf.eprintf "octopus-repro: cannot write json summary: %s\n" e;
-        exit 2)
-    | None -> ());
-    let failed = ref false in
-    if not (Workload.passed r) then begin
-      Printf.printf "load %-7s FAILED: success rate below the documented floor\n" name;
-      failed := true
-    end;
-    if check then begin
-      Octopus.Invariant.report r.Workload.checker Format.std_formatter;
-      if not (Octopus.Invariant.ok r.Workload.checker) then failed := true
-    end;
-    if !failed then exit 1
-  in
-  let regime =
-    let names = List.map (fun r -> (Workload.regime_name r, r)) Workload.all_regimes in
-    Arg.(value & opt (enum names) Workload.Steady
-         & info [ "regime" ] ~docv:"REGIME" ~doc:"Traffic regime: steady, burst or diurnal.")
-  in
-  let n = Arg.(value & opt int 60 & info [ "n" ] ~doc:"Network size.") in
-  let queries =
-    Arg.(value & opt int 2000 & info [ "queries" ] ~doc:"Open-loop arrivals to generate.")
-  in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"RNG seed.") in
-  let cache =
-    Arg.(value & flag & info [ "cache" ]
-           ~doc:"Enable the hot-key result cache and print its anonymity-impact report.")
-  in
-  let chaos =
-    Arg.(value & flag & info [ "chaos" ]
-           ~doc:"Overlay the dup-reorder fault plan plus graceful-degradation knobs.")
-  in
-  let trace_file =
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Write the run's event stream as JSON Lines.")
-  in
-  let json_file =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-           ~doc:"Write the octopus-load/v1 JSON summary (counts, latency quantiles, \
-                 duplicate factor) to $(docv).")
-  in
-  let check =
-    Arg.(value & flag & info [ "check-invariants" ]
-           ~doc:"Run the online invariant checker; exit 1 on any violation.")
-  in
-  Cmd.v
-    (Cmd.info "load"
-       ~doc:"Open-loop traffic: Poisson/MMPP/diurnal arrivals, Zipf keys, latency \
-             CDFs from a bounded-memory sketch, optional hot-key cache")
-    Term.(const run $ regime $ n $ queries $ seed $ cache $ chaos $ trace_file $ json_file $ check)
-
-(* ------------------------------------------------------------------ *)
-(* scale: population-scale dynamic network with memory reporting *)
-
-let scale_cmd =
-  let run n duration seed stabilize churn_mean churn_until lookups check =
-    if n < 64 then begin
-      prerr_endline "octopus-repro: scale needs -n >= 64 (it is a population-scale preset)";
-      exit 2
-    end;
-    if churn_until < 0.0 || churn_until > 0.8 then begin
-      prerr_endline "octopus-repro: --churn-until must be in [0, 0.8] (the ring needs a settle tail)";
-      exit 2
-    end;
-    let r =
-      Scale.run ~n ~duration ~seed ~stabilize_every:stabilize ~churn_mean ~churn_until ~lookups ()
-    in
-    Printf.printf
-      "scale n=%d duration %.0fs  events %d (trace %d)  departures %d  lookups %d/%d converged\n"
-      r.Scale.n r.Scale.duration r.Scale.events r.Scale.trace_events r.Scale.departures
-      r.Scale.lookups_converged r.Scale.lookups_done;
-    Printf.printf
-      "scale memory  %.0f B/node after bootstrap  peak heap %.1f MB  live after run %.1f MB  cpu %.1fs\n"
-      r.Scale.bytes_per_node r.Scale.peak_heap_mb r.Scale.live_mb r.Scale.cpu_s;
-    if check then begin
-      Octopus.Invariant.report r.Scale.checker Format.std_formatter;
-      if not (Octopus.Invariant.ok r.Scale.checker) then exit 1
-    end
-  in
-  let n = Arg.(value & opt int 10_000 & info [ "n" ] ~doc:"Network size.") in
-  let duration = Arg.(value & opt float 180.0 & info [ "duration" ] ~doc:"Simulated seconds.") in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"RNG seed.") in
-  let stabilize =
-    Arg.(value & opt float 20.0 & info [ "stabilize-every" ]
-         ~doc:"Stabilization period in simulated seconds (the only hot periodic loop).")
-  in
-  let churn_mean =
-    Arg.(value & opt float 3600.0 & info [ "churn-mean" ]
-         ~doc:"Mean node lifetime in simulated seconds (exponential churn).")
-  in
-  let churn_until =
-    Arg.(value & opt float 0.45 & info [ "churn-until" ]
-         ~doc:"Fraction of the run after which churn stops, leaving a quiet \
-               settle tail for the final convergence check.")
-  in
-  let lookups =
-    Arg.(value & opt int 400 & info [ "lookups" ]
-         ~doc:"Direct secure lookups spread evenly over the run.")
-  in
-  let check =
-    Arg.(value & flag & info [ "check-invariants" ]
-           ~doc:"Run the online invariant checker (incl. final ring convergence); \
-                 exit 1 on any violation.")
-  in
-  Cmd.v
-    (Cmd.info "scale"
-       ~doc:"Population-scale dynamic network (10^4..10^6 nodes): churn, signed \
-             stabilization, sparse lookups, memory envelope reporting")
-    Term.(const run $ n $ duration $ seed $ stabilize $ churn_mean $ churn_until $ lookups $ check)
+    (Cmd.info "run"
+       ~doc:"Gated regimes: the traced honest scenario, fault injection (chaos), active \
+             adversaries (attack), open-loop traffic (load) and the population-scale ring \
+             (scale). Exit 1 when a regime misses its floor or a pass condition, or, with \
+             --check-invariants, on any violation; exit 2 on bad arguments.")
+    Term.(const run $ selected $ n $ duration $ seed $ queries $ cache $ chaos $ trace_file
+          $ json_file $ check $ misroute)
 
 let () =
   let doc = "Octopus: anonymous and secure DHT lookup — paper reproduction harness" in
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "octopus-repro" ~doc)
-          [ security_cmd; anonymity_cmd; timing_cmd; efficiency_cmd; ablation_cmd; trace_cmd;
-            chaos_cmd; attack_cmd; load_cmd; scale_cmd; all_cmd ]))
+          [ security_cmd; anonymity_cmd; timing_cmd; efficiency_cmd; ablation_cmd; run_cmd;
+            all_cmd ]))

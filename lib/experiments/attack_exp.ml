@@ -1,36 +1,10 @@
 module Trace = Octo_sim.Trace
 module Rng = Octo_sim.Rng
 module Engine = Octo_sim.Engine
-module Fault = Octo_sim.Fault
 module Id = Octo_chord.Id
 module Peer = Octo_chord.Peer
 module Ring_model = Octo_anonymity.Ring_model
 module Range_attack = Octo_anonymity.Range_attack
-
-type regime = Sybil_flood | Eclipse | Churn_range
-
-let all_regimes = [ Sybil_flood; Eclipse; Churn_range ]
-
-let regime_name = function
-  | Sybil_flood -> "sybil"
-  | Eclipse -> "eclipse"
-  | Churn_range -> "churn-range"
-
-let regime_of_name = function
-  | "sybil" -> Some Sybil_flood
-  | "eclipse" -> Some Eclipse
-  | "churn-range" -> Some Churn_range
-  | _ -> None
-
-(* Lookup-success floors per regime, documented in EXPERIMENTS.md. As for
-   the chaos regimes they sit below the rates observed at the default
-   n=60, duration=240, seeds 7 and 11, so seed jitter cannot flake CI,
-   but high enough that a real degradation — Sybils wedging maintenance,
-   the ring failing to recover from an eclipse — trips them. *)
-let threshold = function
-  | Sybil_flood -> 0.80
-  | Eclipse -> 0.50
-  | Churn_range -> 0.60
 
 (* Sybil campaign shape (fractions of the run, like the chaos plans):
    admission requests fire in [0.25d, 0.75d), [sybil_sources] colluding
@@ -41,66 +15,8 @@ let sybil_tick = 2.0
 let sybil_rate = 0.05
 let sybil_burst = 4
 
-type cost_point = {
-  c_label : string;
-  c_assigned : bool;  (* CA-assigned random ids (placement defense)? *)
-  c_rate : float;  (* token-bucket refill, grants/s; 0.0 = unlimited *)
-  c_requests : int;  (* admission requests spent (= attack cost) *)
-  c_admitted : int;
-  c_owned : int;  (* victim successor-set slots held by Sybils *)
-  c_success : bool;  (* all [list_size] slots owned *)
-}
-
-type result = {
-  regime : regime;
-  trace : Trace.t;
-  checker : Octopus.Invariant.t;
-  lookups_done : int;
-  lookups_converged : int;
-  (* Sybil flooding *)
-  sybil_requests : int;
-  sybils_admitted : int;
-  sybil_refused : int;
-  sybil_cap : int;  (* documented admission ceiling for the campaign *)
-  cost_curve : cost_point list;
-  (* eclipse *)
-  revocations : int;
-  cache_flushes : int;
-  eclipsed_peak : int;
-  (* churn-timed range estimation *)
-  fresh_total : int;
-  fresh_hits : int;
-  stale_total : int;
-  stale_hits : int;
-}
-
-let success_rate r =
-  if r.lookups_done = 0 then 0.0
-  else float_of_int r.lookups_converged /. float_of_int r.lookups_done
-
-let passed r =
-  let base = r.lookups_done > 0 && success_rate r >= threshold r.regime in
-  match r.regime with
-  | Sybil_flood -> base && r.sybils_admitted <= r.sybil_cap
-  | Eclipse -> base
-  | Churn_range -> base && r.fresh_total > 0
-
 (* ------------------------------------------------------------------ *)
 (* Shared scaffolding *)
-
-(* Attach the invariant checker and the lookup counters in on_init, as
-   the chaos harness does, so both observe maintenance scheduling. *)
-let with_checker ~trace spec checker lookups_done lookups_converged =
-  Scenario.on_init spec (fun w ->
-      let c = Octopus.Invariant.create w in
-      Octopus.Invariant.attach c trace;
-      checker := Some c;
-      Trace.subscribe trace (fun ev ->
-          match ev.Trace.data with
-          | Trace.Lookup_done { owner_addr; _ } ->
-            incr lookups_done;
-            if owner_addr >= 0 then incr lookups_converged
-          | _ -> ()))
 
 (* Honest boot-population ids still standing: the adversary's (and the
    cost model's) view of the ring. *)
@@ -124,27 +40,6 @@ let colluder_addrs w ~n ~count =
     | _ -> []
   in
   take count !out
-
-let base_result ~regime ~trace ~checker ~lookups_done ~lookups_converged =
-  {
-    regime;
-    trace;
-    checker;
-    lookups_done;
-    lookups_converged;
-    sybil_requests = 0;
-    sybils_admitted = 0;
-    sybil_refused = 0;
-    sybil_cap = 0;
-    cost_curve = [];
-    revocations = 0;
-    cache_flushes = 0;
-    eclipsed_peak = 0;
-    fresh_total = 0;
-    fresh_hits = 0;
-    stale_total = 0;
-    stale_hits = 0;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Sybil cost model (EXPERIMENTS.md cost curve) *)
@@ -170,12 +65,12 @@ let owned_slots ~space ~honest ~sybils ~key ~list_size =
    crafted to surround [key] or CA-assigned uniformly, until the victim's
    successor set is owned, the window closes, or the budget runs out.
    Pure local arithmetic over the snapshot — no event simulation — so the
-   curve is deterministic and costs microseconds. *)
+   curve is deterministic and costs microseconds. Returns the requests
+   spent (the attack's cost), the Sybils admitted, and the victim
+   successor-set slots they own. *)
 let sim_campaign ~space ~honest ~key ~list_size ~seed ~assigned ~rate ~burst ~window
-    ~req_rate ~budget ~label =
+    ~req_rate ~budget =
   let rng = Rng.create ~seed in
-  (* octolint: allow compact-node-state — local id-dedup set of one
-     analytic campaign, not per-node protocol state *)
   let used = Hashtbl.create 256 in
   List.iter (fun id -> Hashtbl.replace used id ()) honest;
   let sybils = ref [] in
@@ -232,50 +127,43 @@ let sim_campaign ~space ~honest ~key ~list_size ~seed ~assigned ~rate ~burst ~wi
       time := !time +. dt
     end
   done;
-  let owned = owned () in
-  {
-    c_label = label;
-    c_assigned = assigned;
-    c_rate = rate;
-    c_requests = !requests;
-    c_admitted = !admitted;
-    c_owned = owned;
-    c_success = owned >= list_size;
-  }
+  (!requests, !admitted, owned ())
 
-let cost_curve ~space ~honest ~key ~list_size ~seed ~window =
-  let sim idx ~assigned ~rate ~label =
+(* The cost curve as report fields, plus [cost_factor]: the requests an
+   attacker must spend to own the victim's successor set once the CA
+   assigns identifiers, relative to crafting them freely. *)
+let cost_fields ~space ~honest ~key ~list_size ~seed ~window =
+  let sim idx ~assigned ~rate =
     sim_campaign ~space ~honest ~key ~list_size ~seed:(seed + 0x90 + idx) ~assigned
-      ~rate ~burst:sybil_burst ~window ~req_rate:0.5 ~budget:100_000 ~label
+      ~rate ~burst:sybil_burst ~window ~req_rate:0.5 ~budget:100_000
   in
-  [ sim 0 ~assigned:false ~rate:0.0 ~label:"crafted/open";
-    sim 1 ~assigned:false ~rate:sybil_rate ~label:"crafted/limited";
-    sim 2 ~assigned:true ~rate:0.0 ~label:"assigned/open";
-    sim 3 ~assigned:true ~rate:sybil_rate ~label:"assigned/limited";
-  ]
-
-(* Requests an attacker must spend to own the victim's successor set once
-   the CA assigns identifiers, relative to crafting them freely. *)
-let cost_factor curve =
-  let requests label =
-    List.fold_left
-      (fun acc p -> if String.equal p.c_label label then Some p.c_requests else acc)
-      None curve
+  let curve =
+    [ ("crafted/open", sim 0 ~assigned:false ~rate:0.0);
+      ("crafted/limited", sim 1 ~assigned:false ~rate:sybil_rate);
+      ("assigned/open", sim 2 ~assigned:true ~rate:0.0);
+      ("assigned/limited", sim 3 ~assigned:true ~rate:sybil_rate);
+    ]
   in
-  match (requests "crafted/open", requests "assigned/open") with
-  | Some crafted, Some assigned when crafted > 0 ->
-    float_of_int assigned /. float_of_int crafted
-  | _ -> 0.0
+  let requests label = match List.assoc label curve with r, _, _ -> float_of_int r in
+  List.concat_map
+    (fun (label, (requests, admitted, owned)) ->
+      [ (label ^ ".requests", Regime.Int requests);
+        (label ^ ".admitted", Regime.Int admitted);
+        (label ^ ".owned", Regime.Int owned);
+      ])
+    curve
+  @ [ ("cost_factor", Regime.Float (requests "assigned/open" /. requests "crafted/open")) ]
 
 (* ------------------------------------------------------------------ *)
 (* Regime 1: Sybil identifier flooding against the admission defense *)
 
-let run_sybil ~n ~duration ~seed ~trace =
+let run_sybil { Regime.n; duration; seed; _ } =
+  let probe, attach = Regime.start ~capacity:(1 lsl 18) () in
   let from_ = 0.25 *. duration in
   let until = 0.75 *. duration in
   let window = until -. from_ in
   (* Per-source admission ceiling over the window; the campaign cannot
-     beat it, and [passed] (plus the CI gate) fails if it somehow does. *)
+     beat it, and the regime's pass condition fails if it somehow does. *)
   let cap = sybil_sources * (sybil_burst + int_of_float (sybil_rate *. window)) in
   let reserve = cap + 2 in
   let cfg =
@@ -289,17 +177,15 @@ let run_sybil ~n ~duration ~seed ~trace =
       lookup_every = 20.0;
     }
   in
-  let checker = ref None in
-  let lookups_done = ref 0 in
-  let lookups_converged = ref 0 in
   let ca_ref = ref None in
   let snapshot = ref [] in
   let target_key = ref 0 in
   let next_slot = ref n in
   let spec =
-    Scenario.make ~seed ~cfg ~fraction_malicious:0.1 ~reserve ~n ~duration ()
+    Scenario.on_init
+      (Scenario.make ~seed ~cfg ~fraction_malicious:0.1 ~reserve ~n ~duration ())
+      attach
   in
-  let spec = with_checker ~trace spec checker lookups_done lookups_converged in
   let spec =
     Scenario.at spec ~time:from_ (fun w ->
         (* Calibrate: freeze the adversary's view of the ring and pick the
@@ -354,69 +240,43 @@ let run_sybil ~n ~duration ~seed ~trace =
   let sc = Scenario.build spec in
   ca_ref := Some (Scenario.ca sc);
   Engine.run (Scenario.engine sc) ~until:duration;
-  let checker = Option.get !checker in
-  Octopus.Invariant.check_convergence checker;
-  ignore (Octopus.Invariant.check_eclipse ~allowed:0 checker);
-  Octopus.Invariant.finish checker;
+  let o = Regime.finish probe in
   let ca = Scenario.ca sc in
-  let w = Scenario.world sc in
-  let curve =
-    cost_curve ~space:(Octopus.World.space w) ~honest:!snapshot ~key:!target_key
-      ~list_size:cfg.Octopus.Config.list_size ~seed ~window
-  in
+  let list_size = cfg.Octopus.Config.list_size in
   {
-    (base_result ~regime:Sybil_flood ~trace ~checker ~lookups_done:!lookups_done
-       ~lookups_converged:!lookups_converged)
-    with
-    sybil_requests = Octopus.Ca.admitted ca + Octopus.Ca.refused ca;
-    sybils_admitted = Octopus.Ca.admitted ca;
-    sybil_refused = Octopus.Ca.refused ca;
-    sybil_cap = cap;
-    cost_curve = curve;
+    o with
+    Regime.fields =
+      [
+        ("sybil_requests", Regime.Int (Octopus.Ca.admitted ca + Octopus.Ca.refused ca));
+        ("sybils_admitted", Regime.Int (Octopus.Ca.admitted ca));
+        ("sybil_refused", Regime.Int (Octopus.Ca.refused ca));
+        ("sybil_cap", Regime.Int cap);
+        ("list_size", Regime.Int list_size);
+      ]
+      @ cost_fields
+          ~space:(Octopus.World.space (Scenario.world sc))
+          ~honest:!snapshot ~key:!target_key ~list_size ~seed ~window;
+    conditions = [ ("admissions within the rate-limit cap", Octopus.Ca.admitted ca <= cap) ];
   }
 
 (* ------------------------------------------------------------------ *)
 (* Regime 2: eclipse timed with a partition heal *)
 
-let run_eclipse ~n ~duration ~seed ~trace ~cache =
+let run_eclipse { Regime.n; duration; seed; cache; _ } =
+  let probe, attach = Regime.start ~capacity:(1 lsl 18) () in
   let d = duration in
   (* The partition window is the chaos partition plan; the colluders turn
      their Bias behavior on just before it opens and keep serving poison
      through the heal, so re-converging victims learn colluder entries
      while their honest pointers are stale. The attack stops at 0.6d,
      leaving the tail to demonstrate recovery. *)
-  let plan : Fault.plan =
-    [ Fault.Partition
-        {
-          groups = [ Fault.Range { lo = 0; hi = (n / 4) - 1 } ];
-          from_ = 0.25 *. d;
-          heal_at = 0.55 *. d;
-        };
-    ]
-  in
   let cfg =
-    {
-      Octopus.Config.default with
-      Octopus.Config.fault_plan = Some plan;
-      anon_path_retries = 2;
-      ring_repair = true;
-      lookup_every = 20.0;
-      result_cache = cache;
-    }
+    Chaos_exp.with_faults Chaos_exp.Partition_heal ~n ~duration
+      { Octopus.Config.default with lookup_every = 20.0; result_cache = cache }
   in
-  let checker = ref None in
-  let lookups_done = ref 0 in
-  let lookups_converged = ref 0 in
-  let revocations = ref 0 in
   let eclipsed_peak = ref 0 in
-  let spec = Scenario.make ~seed ~cfg ~fraction_malicious:0.2 ~n ~duration () in
-  let spec = with_checker ~trace spec checker lookups_done lookups_converged in
   let spec =
-    Scenario.on_init spec (fun _ ->
-        Trace.subscribe trace (fun ev ->
-            match ev.Trace.data with
-            | Trace.Revoked _ -> incr revocations
-            | _ -> ()))
+    Scenario.on_init (Scenario.make ~seed ~cfg ~fraction_malicious:0.2 ~n ~duration ()) attach
   in
   let spec =
     Scenario.at spec ~time:(0.2 *. d) (fun w ->
@@ -430,41 +290,36 @@ let run_eclipse ~n ~duration ~seed ~trace ~cache =
   (* Sample the eclipse watch while the poisoning is strongest: during
      the partition, right after the heal, and at attack stop. *)
   let sample _w =
-    match !checker with
-    | Some c ->
-      eclipsed_peak :=
-        Int.max !eclipsed_peak (Octopus.Invariant.check_eclipse ~allowed:max_int c)
-    | None -> ()
+    eclipsed_peak :=
+      Int.max !eclipsed_peak
+        (Octopus.Invariant.check_eclipse ~allowed:max_int (Regime.checker probe))
   in
   let spec = Scenario.at spec ~time:(0.45 *. d) sample in
   let spec = Scenario.at spec ~time:(0.56 *. d) sample in
   let spec = Scenario.at spec ~time:(0.62 *. d) sample in
-  let sc = Scenario.run spec in
-  let checker = Option.get !checker in
-  Octopus.Invariant.check_convergence checker;
-  ignore (Octopus.Invariant.check_eclipse ~allowed:0 checker);
-  Octopus.Invariant.finish checker;
-  let w = Scenario.world sc in
+  let w = Scenario.world (Scenario.run spec) in
+  let o = Regime.finish probe in
+  (* No churn here, so every revocation left its node revoked for good. *)
+  let revoked = List.filter (fun a -> (Octopus.World.node w a).Octopus.World.revoked) in
   {
-    (base_result ~regime:Eclipse ~trace ~checker ~lookups_done:!lookups_done
-       ~lookups_converged:!lookups_converged)
-    with
-    revocations = !revocations;
-    cache_flushes = Octopus.Rcache.flushes (Octopus.World.result_cache w);
-    eclipsed_peak = !eclipsed_peak;
+    o with
+    Regime.fields =
+      [
+        ("eclipsed_peak", Regime.Int !eclipsed_peak);
+        ("revocations", Regime.Int (List.length (revoked (List.init n Fun.id))));
+        ("cache_flushes", Regime.Int (Octopus.Rcache.flushes (Octopus.World.result_cache w)));
+      ];
   }
 
 (* ------------------------------------------------------------------ *)
 (* Regime 3: range-estimation attack on a churning ring *)
 
-let run_churn_range ~n ~duration ~seed ~trace =
+let run_churn_range { Regime.n; duration; seed; _ } =
+  let probe, attach = Regime.start ~capacity:(1 lsl 18) () in
   let d = duration in
   let cfg =
     { Octopus.Config.default with Octopus.Config.ring_repair = true; lookup_every = 20.0 }
   in
-  let checker = ref None in
-  let lookups_done = ref 0 in
-  let lookups_converged = ref 0 in
   let model = ref None in
   let fresh_total = ref 0 in
   let fresh_hits = ref 0 in
@@ -498,7 +353,7 @@ let run_churn_range ~n ~duration ~seed ~trace =
             incr hits
       end
   in
-  let probe w ~count ~krng ~total ~hits =
+  let observe w ~count ~krng ~total ~hits =
     for _ = 1 to count do
       let rec pick tries =
         let addr = Rng.int krng n in
@@ -518,8 +373,7 @@ let run_churn_range ~n ~duration ~seed ~trace =
             | None -> ())
     done
   in
-  let spec = Scenario.make ~seed ~cfg ~n ~duration () in
-  let spec = with_checker ~trace spec checker lookups_done lookups_converged in
+  let spec = Scenario.on_init (Scenario.make ~seed ~cfg ~n ~duration ()) attach in
   (* Run the churn process ourselves (rather than via [Scenario.make
      ~churn_mean]) so we keep the handle: churn stops at 0.7d, leaving the
      final 0.3d for maintenance to settle so [check_convergence] asserts a
@@ -575,40 +429,48 @@ let run_churn_range ~n ~duration ~seed ~trace =
   let spec =
     Scenario.at spec ~time:((0.3 *. d) +. 2.0) (fun w ->
         let krng = Rng.create ~seed:(seed + 0x71) in
-        probe w ~count:40 ~krng ~total:fresh_total ~hits:fresh_hits)
+        observe w ~count:40 ~krng ~total:fresh_total ~hits:fresh_hits)
   in
   let spec =
     Scenario.at spec ~time:(0.85 *. d) (fun w ->
         let krng = Rng.create ~seed:(seed + 0x72) in
-        probe w ~count:40 ~krng ~total:stale_total ~hits:stale_hits)
+        observe w ~count:40 ~krng ~total:stale_total ~hits:stale_hits)
   in
-  let sc = Scenario.run spec in
-  ignore (Scenario.world sc);
-  let checker = Option.get !checker in
-  Octopus.Invariant.check_convergence checker;
-  ignore (Octopus.Invariant.check_eclipse ~allowed:0 checker);
-  Octopus.Invariant.finish checker;
+  ignore (Scenario.run spec);
+  let o = Regime.finish probe in
   {
-    (base_result ~regime:Churn_range ~trace ~checker ~lookups_done:!lookups_done
-       ~lookups_converged:!lookups_converged)
-    with
-    fresh_total = !fresh_total;
-    fresh_hits = !fresh_hits;
-    stale_total = !stale_total;
-    stale_hits = !stale_hits;
+    o with
+    Regime.fields =
+      [
+        ("fresh_total", Regime.Int !fresh_total);
+        ("fresh_hits", Regime.Int !fresh_hits);
+        ("stale_total", Regime.Int !stale_total);
+        ("stale_hits", Regime.Int !stale_hits);
+      ];
+    conditions = [ ("estimator produced fresh estimates", !fresh_total > 0) ];
   }
 
 (* ------------------------------------------------------------------ *)
 
-let run ?(n = 60) ?(duration = 240.0) ?(seed = 7) ?(trace_capacity = 1 lsl 18)
-    ?(cache = false) ~regime () =
-  let trace = Trace.create ~capacity:trace_capacity () in
-  Trace.install trace;
-  let result =
-    match regime with
-    | Sybil_flood -> run_sybil ~n ~duration ~seed ~trace
-    | Eclipse -> run_eclipse ~n ~duration ~seed ~trace ~cache
-    | Churn_range -> run_churn_range ~n ~duration ~seed ~trace
-  in
-  Trace.uninstall ();
-  result
+(* Lookup-success floors per regime, documented in EXPERIMENTS.md. As for
+   the chaos regimes they sit below the rates observed at the default
+   n=60, duration=240, seeds 7 and 11, so seed jitter cannot flake CI,
+   but high enough that a real degradation — Sybils wedging maintenance,
+   the ring failing to recover from an eclipse — trips them. *)
+let regimes =
+  List.map
+    (fun (name, floor, body) ->
+      {
+        Regime.suite = "attack";
+        name;
+        floor = Some floor;
+        min_n = 16;
+        default_n = 60;
+        default_duration = 240.0;
+        body;
+      })
+    [
+      ("sybil", 0.80, run_sybil);
+      ("eclipse", 0.50, run_eclipse);
+      ("churn-range", 0.60, run_churn_range);
+    ]

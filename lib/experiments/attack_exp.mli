@@ -6,98 +6,37 @@
     live scenario, measures the lookup workload under it, and gates on a
     documented success floor plus the online invariant checker — the
     attack counterpart of the chaos suite, and part of the pre-merge
-    gate via [bin/main.exe attack].
+    gate via [bin/main.exe run attack].
 
     - {b sybil}: colluding sources flood {!Octopus.Ca.request_admission}
       with identifiers crafted around a victim key, against the CA's
       token-bucket admission defense with assigned identifiers; admitted
-      Sybils join live from reserved address slots. The result carries
-      the measured admission counters, the documented campaign ceiling,
-      and the analytic cost curve (requests needed to own the victim's
-      successor set per defense setting).
+      Sybils join live from reserved address slots. Fields: the measured
+      admission counters ([sybil_requests], [sybils_admitted],
+      [sybil_refused]), the documented campaign ceiling [sybil_cap]
+      (admissions beyond it fail the regime), and the analytic cost
+      curve — per defense setting ([crafted/open], [crafted/limited],
+      [assigned/open], [assigned/limited]) the [requests] spent, Sybils
+      [admitted] and victim successor-set slots [owned] out of
+      [list_size] — summarised by [cost_factor], the requests needed
+      once the CA assigns identifiers over those needed when crafting
+      them freely.
     - {b eclipse}: colluders switch on Bias table-serving timed around a
       partition heal, so victims re-converging from the partition learn
       poisoned entries; the eclipse watch ({!Octopus.Invariant.check_eclipse})
-      samples the poisoning at its peak and must read zero at the end —
-      post-heal recovery with no honest node left fully surrounded.
+      samples the poisoning at its peak ([eclipsed_peak]) and must read
+      zero at the end — post-heal recovery with no honest node left
+      fully surrounded. [params.cache] enables the hot-key result cache,
+      whose [cache_flushes] must keep up with the [revocations].
     - {b churn-range}: the Appendix III range-estimation attack replayed
       against a churning ring: the adversary calibrates a
       {!Octo_anonymity.Ring_model} snapshot mid-run and applies the
-      estimator to lookups observed immediately (fresh) and much later
-      (stale), measuring how membership drift degrades estimator
-      accuracy. *)
+      estimator to lookups observed immediately ([fresh_total] estimates,
+      [fresh_hits] containing the true owner) and much later
+      ([stale_total], [stale_hits]), measuring how membership drift
+      degrades estimator accuracy; the regime fails without fresh
+      estimates. *)
 
-type regime = Sybil_flood | Eclipse | Churn_range
-
-val all_regimes : regime list
-val regime_name : regime -> string
-val regime_of_name : string -> regime option
-
-val threshold : regime -> float
-(** Documented lookup-success floor (below the observed rates at the
-    default scale, seeds 7 and 11 — see EXPERIMENTS.md). *)
-
-type cost_point = {
-  c_label : string;  (** e.g. ["assigned/limited"] *)
-  c_assigned : bool;  (** CA-assigned random ids (placement defense)? *)
-  c_rate : float;  (** token-bucket refill, grants/s; [0.] = unlimited *)
-  c_requests : int;  (** admission requests spent (the attack's cost) *)
-  c_admitted : int;
-  c_owned : int;  (** victim successor-set slots held by Sybils *)
-  c_success : bool;  (** all [list_size] slots owned *)
-}
-
-type result = {
-  regime : regime;
-  trace : Octo_sim.Trace.t;
-  checker : Octopus.Invariant.t;
-  lookups_done : int;
-  lookups_converged : int;
-  sybil_requests : int;  (** admission requests judged by the CA *)
-  sybils_admitted : int;
-  sybil_refused : int;
-  sybil_cap : int;
-      (** admission ceiling implied by the campaign's rate-limit
-          settings; [sybils_admitted] beyond it fails {!passed} *)
-  cost_curve : cost_point list;
-  revocations : int;  (** certificate revocations during the run *)
-  cache_flushes : int;
-      (** result-cache flushes ({!Octopus.Rcache.flushes}) — conviction-
-          driven revocation must flush cached owners *)
-  eclipsed_peak : int;
-      (** max honest nodes fully surrounded by colluders at the sampled
-          peaks of the eclipse campaign *)
-  fresh_total : int;  (** estimates produced right after calibration *)
-  fresh_hits : int;  (** ... whose interval contained the true owner *)
-  stale_total : int;  (** estimates produced late, after churn drift *)
-  stale_hits : int;
-}
-
-val success_rate : result -> float
-
-val passed : result -> bool
-(** Lookup success at or above {!threshold}, plus per-regime conditions:
-    the Sybil campaign must respect its admission ceiling, and the
-    churn-range estimator must have produced fresh estimates. Invariant
-    violations are gated separately via [result.checker]. *)
-
-val cost_factor : cost_point list -> float
-(** Requests the attacker must spend to own the victim's successor set
-    once the CA assigns identifiers, relative to crafting them freely
-    ([assigned/open] over [crafted/open]); [0.] if either campaign is
-    missing from the curve. *)
-
-val run :
-  ?n:int ->
-  ?duration:float ->
-  ?seed:int ->
-  ?trace_capacity:int ->
-  ?cache:bool ->
-  regime:regime ->
-  unit ->
-  result
-(** Run one regime (defaults: n=60, duration=240, seed=7). [cache]
-    additionally enables the hot-key result cache during the eclipse
-    regime (the Rcache-under-attack regression); it is ignored by the
-    other regimes. Installs a fresh trace sink for the duration of the
-    run and uninstalls it before returning. *)
+val regimes : Regime.t list
+(** [attack/sybil], [attack/eclipse] and [attack/churn-range] (defaults
+    n = 60, 240 s). *)

@@ -1,36 +1,6 @@
-module Trace = Octo_sim.Trace
 module Fault = Octo_sim.Fault
 
 type regime = Partition_heal | Corruption | Dup_reorder | Crash_burst | Regional_outage
-
-let all_regimes = [ Partition_heal; Corruption; Dup_reorder; Crash_burst; Regional_outage ]
-
-let regime_name = function
-  | Partition_heal -> "partition"
-  | Corruption -> "corrupt"
-  | Dup_reorder -> "dup-reorder"
-  | Crash_burst -> "crash"
-  | Regional_outage -> "outage"
-
-let regime_of_name = function
-  | "partition" -> Some Partition_heal
-  | "corrupt" -> Some Corruption
-  | "dup-reorder" -> Some Dup_reorder
-  | "crash" -> Some Crash_burst
-  | "outage" -> Some Regional_outage
-  | _ -> None
-
-(* Success-rate floors per regime, documented in EXPERIMENTS.md. They are
-   deliberately below the observed rates (measured at the default n=60,
-   duration=240, seeds 7 and 11) so seed jitter does not flake CI, but
-   high enough that a degradation-path regression — circuits not
-   rebuilding, the ring failing to re-knit — trips them. *)
-let threshold = function
-  | Partition_heal -> 0.50
-  | Corruption -> 0.60
-  | Dup_reorder -> 0.70
-  | Crash_burst -> 0.55
-  | Regional_outage -> 0.50
 
 (* Every window is phrased as a fraction of the run so the shape survives
    a --duration override: faults start after bootstrap has settled and
@@ -65,70 +35,55 @@ let plan_for regime ~n ~duration : Fault.plan =
         { epicenter = 0; radius = 0.04; from_ = 0.3 *. d; until = 0.55 *. d };
     ]
 
-type result = {
-  regime : regime;
-  trace : Trace.t;
-  checker : Octopus.Invariant.t;
-  lookups_done : int;
-  lookups_converged : int;
-  drops : int;
-  corruptions : int;
-  duplicates : int;
-  reorders : int;
-  crashes : int;
-}
-
-let success_rate r =
-  if r.lookups_done = 0 then 0.0
-  else float_of_int r.lookups_converged /. float_of_int r.lookups_done
-
-let passed r = r.lookups_done > 0 && success_rate r >= threshold r.regime
-
-let run ?(n = 60) ?(duration = 240.0) ?(seed = 7) ?(trace_capacity = 1 lsl 18) ~regime () =
-  let trace = Trace.create ~capacity:trace_capacity () in
-  Trace.install trace;
-  let cfg =
-    {
-      Octopus.Config.default with
-      Octopus.Config.fault_plan = Some (plan_for regime ~n ~duration);
-      anon_path_retries = 2;
-      ring_repair = true;
-      lookup_every = 20.0;
-    }
-  in
-  let checker = ref None in
-  let lookups_done = ref 0 in
-  let lookups_converged = ref 0 in
-  let spec = Scenario.make ~seed ~cfg ~n ~duration () in
-  let spec =
-    Scenario.on_init spec (fun w ->
-        let c = Octopus.Invariant.create w in
-        Octopus.Invariant.attach c trace;
-        checker := Some c;
-        Trace.subscribe trace (fun ev ->
-            match ev.Trace.data with
-            | Trace.Lookup_done { owner_addr; _ } ->
-              incr lookups_done;
-              if owner_addr >= 0 then incr lookups_converged
-            | _ -> ()))
-  in
-  let sc = Scenario.run spec in
-  let checker = Option.get !checker in
-  (* Every fault window closes well before the end of the run, so by now
-     maintenance has had the tail of the run to re-knit the ring. *)
-  Octopus.Invariant.check_convergence checker;
-  Octopus.Invariant.finish checker;
-  Trace.uninstall ();
-  let counters f = match Scenario.fault sc with None -> 0 | Some t -> f t in
+let with_faults regime ~n ~duration (cfg : Octopus.Config.t) =
   {
-    regime;
-    trace;
-    checker;
-    lookups_done = !lookups_done;
-    lookups_converged = !lookups_converged;
-    drops = counters Fault.drops;
-    corruptions = counters Fault.corruptions;
-    duplicates = counters Fault.duplicates;
-    reorders = counters Fault.reorders;
-    crashes = counters Fault.crashes;
+    cfg with
+    Octopus.Config.fault_plan = Some (plan_for regime ~n ~duration);
+    anon_path_retries = 2;
+    ring_repair = true;
   }
+
+let run regime { Regime.n; duration; seed; _ } =
+  let probe, attach = Regime.start ~capacity:(1 lsl 18) () in
+  let cfg =
+    with_faults regime ~n ~duration { Octopus.Config.default with lookup_every = 20.0 }
+  in
+  let sc = Scenario.run (Scenario.on_init (Scenario.make ~seed ~cfg ~n ~duration ()) attach) in
+  let o = Regime.finish probe in
+  let counter f = match Scenario.fault sc with None -> 0 | Some t -> f t in
+  {
+    o with
+    Regime.fields =
+      [
+        ("drops", Regime.Int (counter Fault.drops));
+        ("corruptions", Regime.Int (counter Fault.corruptions));
+        ("duplicates", Regime.Int (counter Fault.duplicates));
+        ("reorders", Regime.Int (counter Fault.reorders));
+        ("crashes", Regime.Int (counter Fault.crashes));
+      ];
+  }
+
+(* Success-rate floors per regime, documented in EXPERIMENTS.md. They are
+   deliberately below the observed rates (measured at the default n=60,
+   duration=240, seeds 7 and 11) so seed jitter does not flake CI, but
+   high enough that a degradation-path regression — circuits not
+   rebuilding, the ring failing to re-knit — trips them. *)
+let regimes =
+  List.map
+    (fun (regime, name, floor) ->
+      {
+        Regime.suite = "chaos";
+        name;
+        floor = Some floor;
+        min_n = 16;
+        default_n = 60;
+        default_duration = 240.0;
+        body = run regime;
+      })
+    [
+      (Partition_heal, "partition", 0.50);
+      (Corruption, "corrupt", 0.60);
+      (Dup_reorder, "dup-reorder", 0.70);
+      (Crash_burst, "crash", 0.55);
+      (Regional_outage, "outage", 0.50);
+    ]

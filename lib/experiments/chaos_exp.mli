@@ -1,63 +1,26 @@
 (** Chaos scenarios: the full lookup workload under each fault regime.
 
-    Each {!regime} names one fault-injection schedule ({!plan_for}); the
-    configuration additionally arms the graceful-degradation paths —
+    Each {!regime} names one fault-injection schedule; {!with_faults}
+    installs it and arms the graceful-degradation paths —
     anonymous-path fallback ([anon_path_retries]) and post-heal ring
     repair ([ring_repair]) — that the default config keeps off for trace
     compatibility. A run drives the standard maintained workload, counts
-    lookup outcomes, and finishes with the post-heal convergence check
-    and the corrupted-documents-never-accepted audit.
+    lookup outcomes, and closes with {!Regime.finish}: the post-heal
+    convergence check and the corrupted-documents-never-accepted audit.
 
     Same seed, same regime ⇒ byte-identical traces: all fault decisions
     come from the engine RNG in message-send order. *)
 
 type regime = Partition_heal | Corruption | Dup_reorder | Crash_burst | Regional_outage
 
-val all_regimes : regime list
+val with_faults :
+  regime -> n:int -> duration:float -> Octopus.Config.t -> Octopus.Config.t
+(** [cfg] with the regime's fault schedule (windows placed as fractions
+    of the run so bootstrap settles first and re-convergence has a tail)
+    plus [anon_path_retries = 2] and [ring_repair]. *)
 
-val regime_name : regime -> string
-(** CLI names: ["partition"], ["corrupt"], ["dup-reorder"], ["crash"],
-    ["outage"]. *)
-
-val regime_of_name : string -> regime option
-
-val threshold : regime -> float
-(** Documented lookup success-rate floor for the regime (see
-    EXPERIMENTS.md); a run below it fails {!passed}. *)
-
-val plan_for : regime -> n:int -> duration:float -> Octo_sim.Fault.plan
-(** The regime's fault schedule, windows placed as fractions of the run
-    so bootstrap settles first and re-convergence has a tail. *)
-
-type result = {
-  regime : regime;
-  trace : Octo_sim.Trace.t;
-  checker : Octopus.Invariant.t;
-  lookups_done : int;
-  lookups_converged : int;
-  drops : int;
-  corruptions : int;
-  duplicates : int;
-  reorders : int;
-  crashes : int;
-}
-
-val success_rate : result -> float
-(** Converged fraction of finished lookups ([0.0] when none finished). *)
-
-val passed : result -> bool
-(** At least one lookup finished and {!success_rate} meets the regime's
-    {!threshold}. Invariant violations are reported separately through
-    [result.checker]. *)
-
-val run :
-  ?n:int ->
-  ?duration:float ->
-  ?seed:int ->
-  ?trace_capacity:int ->
-  regime:regime ->
-  unit ->
-  result
-(** Defaults: n = 60, duration = 240 s, seed = 7. Runs the maintained
-    workload under the regime's plan, then {!Octopus.Invariant.check_convergence}
-    and {!Octopus.Invariant.finish}. *)
+val regimes : Regime.t list
+(** [chaos/partition], [chaos/corrupt], [chaos/dup-reorder],
+    [chaos/crash] and [chaos/outage] (defaults n = 60, 240 s). Fields:
+    the fault layer's [drops], [corruptions], [duplicates], [reorders]
+    and [crashes] counters. *)

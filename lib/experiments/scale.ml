@@ -19,21 +19,18 @@ module Peer = Octo_chord.Peer
    tables, RPC substrate and the convergence ledger without needing
    per-node relay state.
 
-   Churn runs over the first [churn_until] fraction of the run and then
-   stops, leaving the tail for stabilization to re-knit the ring —
-   mirroring the chaos regimes, whose fault windows also close well
+   Churn (mean lifetime [churn_mean]) runs over the first [churn_until]
+   fraction of the run and then stops, leaving the tail for stabilization
+   to re-knit the ring — mirroring the chaos regimes, whose fault windows also close well
    before the end so [Invariant.check_convergence] asserts something
    that has had time to become true. *)
 
 type result = {
-  n : int;
-  duration : float;
   events : int;  (* engine events fired *)
   trace_events : int;  (* events seen by the trace sink *)
   lookups_done : int;
-  lookups_converged : int;
   departures : int;  (* churn leave events *)
-  checker : Octopus.Invariant.t;
+  outcome : Regime.outcome;
   bytes_per_node : float;  (* live heap per node right after bootstrap *)
   peak_heap_mb : float;  (* process top_heap_words at the end *)
   live_mb : float;  (* live heap after the run, post-compaction *)
@@ -62,22 +59,17 @@ let scale_cfg ~stabilize_every =
     metrics_sample_every = 60.0;
   }
 
-let run ?(n = 10_000) ?(duration = 180.0) ?(seed = 7) ?(stabilize_every = 20.0)
-    ?(churn_mean = 3600.0) ?(churn_until = 0.45) ?(lookups = 400)
-    ?(trace_capacity = 1 lsl 16) () =
+let stabilize_every = 20.0
+let churn_mean = 3600.0
+let churn_until = 0.45
+
+let run ?(n = 10_000) ?(duration = 180.0) ?(seed = 7) ?(lookups = 400) () =
   (* octolint: allow no-wallclock-rng — reported as harness cost (cpu_s),
      never fed back into the simulation *)
   let cpu0 = Sys.time () in
   Gc.compact ();
   let live0 = (Gc.stat ()).Gc.live_words in
   let cfg = scale_cfg ~stabilize_every in
-  let trace = Trace.create ~capacity:trace_capacity () in
-  Trace.install trace;
-  let engine = Engine.create ~seed () in
-  let latency = Latency.create (Rng.split (Engine.rng engine)) ~n:(n + 1) in
-  let w = Octopus.World.create ~cfg ~pools:false engine latency ~n in
-  Octopus.Serve.install w;
-  let _ca = Octopus.Ca.create w in
   (* The checker's default grace is calibrated for the default 2 s
      stabilize period; here the ring re-knits at [stabilize_every]
      granularity (eviction alone needs two strike rounds), so a lookup
@@ -90,16 +82,13 @@ let run ?(n = 10_000) ?(duration = 180.0) ?(seed = 7) ?(stabilize_every = 20.0)
     +. (2.0 *. cfg.Octopus.Config.query_deadline)
     +. 2.0
   in
-  let checker = Octopus.Invariant.create ~grace w in
-  Octopus.Invariant.attach checker trace;
-  let lookups_done = ref 0 in
-  let lookups_converged = ref 0 in
-  Trace.subscribe trace (fun ev ->
-      match ev.Trace.data with
-      | Trace.Lookup_done { owner_addr; _ } ->
-        incr lookups_done;
-        if owner_addr >= 0 then incr lookups_converged
-      | _ -> ());
+  let probe, attach = Regime.start ~grace ~capacity:(1 lsl 16) () in
+  let engine = Engine.create ~seed () in
+  let latency = Latency.create (Rng.split (Engine.rng engine)) ~n:(n + 1) in
+  let w = Octopus.World.create ~cfg ~pools:false engine latency ~n in
+  Octopus.Serve.install w;
+  let _ca = Octopus.Ca.create w in
+  attach w;
   Gc.compact ();
   let live1 = (Gc.stat ()).Gc.live_words in
   Octopus.Maintain.start
@@ -205,25 +194,48 @@ let run ?(n = 10_000) ?(duration = 180.0) ?(seed = 7) ?(stabilize_every = 20.0)
            end))
   done;
   Engine.run engine ~until:duration;
-  Octopus.Invariant.check_convergence checker;
-  Octopus.Invariant.finish checker;
-  Trace.uninstall ();
+  let o = Regime.finish probe in
   let stat = Gc.stat () in
   let peak_heap_mb = float_of_int stat.Gc.top_heap_words *. 8.0 /. (1024.0 *. 1024.0) in
   Gc.compact ();
   let live_end = (Gc.stat ()).Gc.live_words in
   {
-    n;
-    duration;
     events = Engine.events_processed engine;
-    trace_events = Trace.seen trace;
-    lookups_done = !lookups_done;
-    lookups_converged = !lookups_converged;
+    trace_events = Trace.seen o.Regime.trace;
+    lookups_done = o.Regime.lookups_done;
     departures = Churn.departures churn;
-    checker;
+    outcome = o;
     bytes_per_node = float_of_int (live1 - live0) *. 8.0 /. float_of_int n;
     peak_heap_mb;
     live_mb = float_of_int live_end *. 8.0 /. (1024.0 *. 1024.0);
     (* octolint: allow no-wallclock-rng — harness cost only (see cpu0) *)
     cpu_s = Sys.time () -. cpu0;
   }
+
+let regimes =
+  [
+    {
+      Regime.suite = "scale";
+      name = "churn";
+      floor = None;
+      min_n = 64;
+      default_n = 10_000;
+      default_duration = 180.0;
+      body =
+        (fun { Regime.n; duration; seed; _ } ->
+          let r = run ~n ~duration ~seed () in
+          let int k v = (k, Regime.Int v) and float k v = (k, Regime.Float v) in
+          {
+            r.outcome with
+            Regime.fields =
+              [
+                int "events" r.events;
+                int "departures" r.departures;
+                float "bytes_per_node" r.bytes_per_node;
+                float "peak_heap_mb" r.peak_heap_mb;
+                float "live_mb" r.live_mb;
+                float "cpu_s" r.cpu_s;
+              ];
+          });
+    };
+  ]

@@ -4,26 +4,24 @@
     churn with protocol-level rejoins, sparse direct secure lookups, the
     online invariant checker — at populations of 10^4..10^6 nodes on one
     machine, and reports memory alongside protocol health. This is the
-    harness behind [octopus scale] and the CI scale-smoke job.
+    harness behind [octopus run scale] and its CI matrix entry.
 
     Scaling choices (also documented in DESIGN.md "Memory layout at
     scale"): relay pools are skipped ([World.create ~pools:false]), only
     the stabilization loop runs hot (finger/walk/surveillance/workload/gc
     periods are pushed past the horizon), and lookup traffic is a fixed
-    sparse schedule of direct lookups. Churn stops at
-    [churn_until * duration] so the final {!Octopus.Invariant.check_convergence}
-    asserts a ring that has had [>= (1 - churn_until) * duration] seconds
-    of quiet stabilization to re-knit. *)
+    sparse schedule of direct lookups. Stabilization runs every 20 s and
+    churn (mean lifetime 3600 s) stops at [0.45 * duration], so the final
+    {!Octopus.Invariant.check_convergence} asserts a ring that has had
+    [0.55 * duration] seconds of quiet stabilization to re-knit. *)
 
 type result = {
-  n : int;
-  duration : float;  (** simulated seconds *)
   events : int;  (** engine events fired *)
   trace_events : int;  (** events emitted into the trace sink *)
   lookups_done : int;
-  lookups_converged : int;  (** [Lookup_done] with a real owner *)
   departures : int;  (** churn leave events *)
-  checker : Octopus.Invariant.t;  (** finished; query [ok]/[violations] *)
+  outcome : Regime.outcome;
+      (** trace, finished checker and [Lookup_done] counts of the run *)
   bytes_per_node : float;
       (** live heap attributable to one node right after bootstrap
           (before maintenance timers), compacted measurement *)
@@ -37,19 +35,12 @@ val scale_cfg : stabilize_every:float -> Octopus.Config.t
     seconds, every other periodic loop dormant (period 1e6 s, so the
     phase-randomized first firing lands past any realistic horizon). *)
 
-val run :
-  ?n:int ->
-  ?duration:float ->
-  ?seed:int ->
-  ?stabilize_every:float ->
-  ?churn_mean:float ->
-  ?churn_until:float ->
-  ?lookups:int ->
-  ?trace_capacity:int ->
-  unit ->
-  result
-(** Defaults: [n = 10_000], [duration = 180] s, [seed = 7],
-    [stabilize_every = 20] s, [churn_mean = 3600] s (so roughly
-    [n * duration * churn_until / churn_mean] departures),
-    [churn_until = 0.45], [lookups = 400]. Installs (and uninstalls) its
-    own process-global trace sink. *)
+val run : ?n:int -> ?duration:float -> ?seed:int -> ?lookups:int -> unit -> result
+(** Defaults: [n = 10_000], [duration = 180] s, [seed = 7], [lookups = 400]
+    (roughly [n * duration * 0.45 / 3600] departures). Installs its own
+    process-global trace sink and closes the run with {!Regime.finish}. *)
+
+val regimes : Regime.t list
+(** [scale/churn] (default n = 10^4, 180 s): {!run} with no floor. Fields:
+    engine [events], churn [departures], and the memory envelope
+    ([bytes_per_node], [peak_heap_mb], [live_mb], [cpu_s]). *)

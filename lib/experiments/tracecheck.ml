@@ -1,34 +1,6 @@
-module Trace = Octo_sim.Trace
-
-type result = {
-  trace : Trace.t;
-  checker : Octopus.Invariant.t;
-  lookups_done : int;
-  lookups_converged : int;
-}
-
-let run ?(n = 80) ?(duration = 120.0) ?(seed = 7) ?(trace_capacity = 1 lsl 18)
-    ?(revoke_one = false) () =
-  let trace = Trace.create ~capacity:trace_capacity () in
-  Trace.install trace;
-  let checker = ref None in
-  let lookups_done = ref 0 in
-  let lookups_converged = ref 0 in
-  let spec = Scenario.make ~seed ~n ~duration () in
-  (* The checker must subscribe before maintenance starts so it observes
-     the scheduling of the periodic loops — hence [on_init]. *)
-  let spec =
-    Scenario.on_init spec (fun w ->
-        let c = Octopus.Invariant.create w in
-        Octopus.Invariant.attach c trace;
-        checker := Some c;
-        Trace.subscribe trace (fun ev ->
-            match ev.Trace.data with
-            | Trace.Lookup_done { owner_addr; _ } ->
-              incr lookups_done;
-              if owner_addr >= 0 then incr lookups_converged
-            | _ -> ()))
-  in
+let run ?(n = 80) ?(duration = 120.0) ?(seed = 7) ?(revoke_one = false) () =
+  let probe, attach = Regime.start ~capacity:(1 lsl 18) () in
+  let spec = Scenario.on_init (Scenario.make ~seed ~n ~duration ()) attach in
   let spec =
     if revoke_one then
       Scenario.at spec ~time:(duration /. 2.0) (fun w ->
@@ -37,13 +9,18 @@ let run ?(n = 80) ?(duration = 120.0) ?(seed = 7) ?(trace_capacity = 1 lsl 18)
           Octopus.World.revoke w (n / 2))
     else spec
   in
-  let _sc = Scenario.run spec in
-  let checker = Option.get !checker in
-  Octopus.Invariant.finish checker;
-  Trace.uninstall ();
-  {
-    trace;
-    checker;
-    lookups_done = !lookups_done;
-    lookups_converged = !lookups_converged;
-  }
+  ignore (Scenario.run spec);
+  Regime.finish probe
+
+let regimes =
+  [
+    {
+      Regime.suite = "trace";
+      name = "honest";
+      floor = None;
+      min_n = 8;
+      default_n = 80;
+      default_duration = 120.0;
+      body = (fun p -> run ~n:p.Regime.n ~duration:p.Regime.duration ~seed:p.Regime.seed ());
+    };
+  ]

@@ -1,26 +1,15 @@
 (** A small end-to-end scenario run with tracing on and the online
     invariant checker attached — the pre-merge correctness gate shared by
-    [bin/main.exe trace], [bench/main.exe --check-invariants], and the
-    test suite. *)
-
-type result = {
-  trace : Octo_sim.Trace.t;
-  checker : Octopus.Invariant.t;
-  lookups_done : int;
-  lookups_converged : int;  (** completed with a claimed owner *)
-}
+    [bin/main.exe run trace], [bench/main.exe --check-invariants], and
+    the test suite. *)
 
 val run :
-  ?n:int ->
-  ?duration:float ->
-  ?seed:int ->
-  ?trace_capacity:int ->
-  ?revoke_one:bool ->
-  unit ->
-  result
+  ?n:int -> ?duration:float -> ?seed:int -> ?revoke_one:bool -> unit -> Regime.outcome
 (** Honest network of [n] (default 80) nodes with full maintenance
     (stabilization, walks, periodic anonymous lookups, surveillance) for
-    [duration] (default 120) simulated seconds. [revoke_one] revokes one
-    node mid-run to exercise the revoked-identity invariant. The global
-    trace sink is installed for the duration of the call and uninstalled
-    before returning. *)
+    [duration] (default 120) simulated seconds, closed by
+    {!Regime.finish}. [revoke_one] revokes one node mid-run to exercise
+    the revoked-identity invariant. *)
+
+val regimes : Regime.t list
+(** [trace/honest]: {!run} with no floor; only the checker gates it. *)

@@ -1,6 +1,5 @@
 module Engine = Octo_sim.Engine
 module Rng = Octo_sim.Rng
-module Trace = Octo_sim.Trace
 module Metrics = Octo_sim.Metrics
 module Net = Octo_sim.Net
 module Rpc = Octo_sim.Rpc
@@ -10,7 +9,6 @@ module World = Octopus.World
 module Config = Octopus.Config
 module Olookup = Octopus.Olookup
 module Rcache = Octopus.Rcache
-module Invariant = Octopus.Invariant
 module Cache_entropy = Octo_anonymity.Cache_entropy
 
 (* ------------------------------------------------------------------ *)
@@ -122,36 +120,16 @@ end
 
 type regime = Steady | Burst | Diurnal
 
-let all_regimes = [ Steady; Burst; Diurnal ]
-let regime_name = function Steady -> "steady" | Burst -> "burst" | Diurnal -> "diurnal"
-
-let regime_of_name = function
-  | "steady" -> Some Steady
-  | "burst" -> Some Burst
-  | "diurnal" -> Some Diurnal
-  | _ -> None
-
 let process_of = function
   | Steady -> Arrivals.Poisson { rate = 50.0 }
   | Burst ->
     Arrivals.Mmpp { rate_on = 400.0; rate_off = 10.0; mean_on = 5.0; mean_off = 15.0 }
   | Diurnal -> Arrivals.Diurnal { base = 40.0; amplitude = 0.8; period = 600.0 }
 
-(* Success-rate floors, documented in EXPERIMENTS.md. As with the chaos
-   regimes they sit deliberately below the rates observed at the default
-   n=60, queries=2000 across seeds 7/11/42 (steady 88-97%, burst 81-97%,
-   diurnal 84-96% -- the Zipf head concentrates traffic on few keys, so
-   a single hard-to-route hot key moves the rate by several points per
-   seed), high enough that a routing or backpressure regression still
-   trips them. *)
-let threshold = function Steady -> 0.80 | Burst -> 0.75 | Diurnal -> 0.80
-
 (* ------------------------------------------------------------------ *)
 (* The open-loop run *)
 
 type result = {
-  regime : regime;
-  requested : int;
   issued : int;
   completed : int;
   converged : int;
@@ -163,22 +141,9 @@ type result = {
   rpc_queued : int;
   delivered : int;
   duplicates : int;
-  trace : Trace.t;
-  checker : Invariant.t;
+  outcome : Regime.outcome;
   entropy : Cache_entropy.report option;
 }
-
-let success_rate r =
-  if r.issued = 0 then 0.0 else float_of_int r.converged /. float_of_int r.issued
-
-(* Delivered messages over unique messages (pubsub-style amplification
-   factor): the fault layer is the only source of duplicate deliveries,
-   so unique = delivered - injected duplicates. 1.0 on a clean run. *)
-let duplicate_factor r =
-  let unique = r.delivered - r.duplicates in
-  if unique <= 0 then 1.0 else float_of_int r.delivered /. float_of_int unique
-
-let passed r = r.issued > 0 && success_rate r >= threshold r.regime
 
 (* Arrivals start after a short settle window and the run gets a fixed
    tail so in-flight lookups can complete before the engine stops. *)
@@ -193,12 +158,10 @@ type per_key = {
   mutable holders_sum : float;
 }
 
-let run ?(n = 60) ?(seed = 7) ?(queries = 2000) ?(cache = false) ?(chaos = false)
-    ?(trace_capacity = 1 lsl 18) ~regime () =
+let run ?(n = 60) ?(seed = 7) ?(queries = 2000) ?(cache = false) ?(chaos = false) ~regime () =
   if n < 8 then invalid_arg "Workload.run: n < 8";
   if queries < 1 then invalid_arg "Workload.run: queries < 1";
-  let trace = Trace.create ~capacity:trace_capacity () in
-  Trace.install trace;
+  let probe, attach = Regime.start ~capacity:(1 lsl 18) () in
   (* The workload owns its own RNG universe, split into one stream per
      concern. Nothing here ever touches the engine/world streams, so the
      simulated system behaves identically whatever the traffic shape --
@@ -237,12 +200,7 @@ let run ?(n = 60) ?(seed = 7) ?(queries = 2000) ?(cache = false) ?(chaos = false
       (* Message-level chaos (duplication + reordering): stresses the
          open loop without killing nodes, so success floors keep their
          meaning. Crash/partition regimes belong to the chaos harness. *)
-      {
-        cfg with
-        Config.fault_plan = Some (Chaos_exp.plan_for Chaos_exp.Dup_reorder ~n ~duration);
-        anon_path_retries = 2;
-        ring_repair = true;
-      }
+      Chaos_exp.with_faults Chaos_exp.Dup_reorder ~n ~duration cfg
     else cfg
   in
   let latency = Metrics.Sketch.create () in
@@ -261,7 +219,6 @@ let run ?(n = 60) ?(seed = 7) ?(queries = 2000) ?(cache = false) ?(chaos = false
       Hashtbl.replace per_key key s;
       s
   in
-  let checker = ref None in
   (* An initiator must be honest and up; under chaos a pick can land on a
      crashed node, so retry a few independent draws before skipping the
      arrival (the skip is counted, never silently dropped). *)
@@ -322,19 +279,10 @@ let run ?(n = 60) ?(seed = 7) ?(queries = 2000) ?(cache = false) ?(chaos = false
     end
   in
   let spec = Scenario.make ~seed ~cfg ~n ~duration ~lookups:false ~checks:false () in
-  let spec =
-    Scenario.on_init spec (fun w ->
-        let c = Invariant.create w in
-        Invariant.attach c trace;
-        checker := Some c)
-  in
-  let spec = Scenario.on_ready spec (fun w -> schedule_next w) in
+  let spec = Scenario.on_ready (Scenario.on_init spec attach) schedule_next in
   let sc = Scenario.run spec in
   let w = Scenario.world sc in
-  let checker = Option.get !checker in
-  Invariant.check_convergence checker;
-  Invariant.finish checker;
-  Trace.uninstall ();
+  let outcome = Regime.finish probe in
   for addr = 0 to n - 1 do
     let bytes = Net.tx_bytes w.World.net addr + Net.rx_bytes w.World.net addr in
     Metrics.Sketch.record bandwidth (float_of_int bytes /. duration)
@@ -356,8 +304,6 @@ let run ?(n = 60) ?(seed = 7) ?(queries = 2000) ?(cache = false) ?(chaos = false
     else None
   in
   {
-    regime;
-    requested = queries;
     issued = !issued;
     completed = !completed;
     converged = !converged;
@@ -370,42 +316,77 @@ let run ?(n = 60) ?(seed = 7) ?(queries = 2000) ?(cache = false) ?(chaos = false
     delivered = Net.messages_delivered w.World.net;
     duplicates =
       (match Scenario.fault sc with Some f -> Octo_sim.Fault.duplicates f | None -> 0);
-    trace;
-    checker;
+    outcome;
     entropy;
   }
 
 (* ------------------------------------------------------------------ *)
-(* JSON summary (the `load --json` report) *)
+(* Gated regimes *)
 
-let summary_json r =
-  let b = Buffer.create 1024 in
+let fields ~queries r =
   let q p = Metrics.Sketch.quantile r.latency p in
-  let num f =
-    (* JSON has no NaN/inf literals; an empty sketch reports null. *)
-    if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-  in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"octopus-load/v1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"regime\": %S,\n" (regime_name r.regime));
-  Buffer.add_string b (Printf.sprintf "  \"requested\": %d,\n" r.requested);
-  Buffer.add_string b (Printf.sprintf "  \"issued\": %d,\n" r.issued);
-  Buffer.add_string b (Printf.sprintf "  \"completed\": %d,\n" r.completed);
-  Buffer.add_string b (Printf.sprintf "  \"converged\": %d,\n" r.converged);
-  Buffer.add_string b (Printf.sprintf "  \"skipped\": %d,\n" r.skipped);
-  Buffer.add_string b (Printf.sprintf "  \"cache_hits\": %d,\n" r.cache_hits);
-  Buffer.add_string b (Printf.sprintf "  \"success_rate\": %s,\n" (num (success_rate r)));
-  Buffer.add_string b (Printf.sprintf "  \"duration_s\": %s,\n" (num r.duration));
-  Buffer.add_string b
-    (Printf.sprintf "  \"latency_s\": { \"p50\": %s, \"p99\": %s, \"p999\": %s, \"max\": %s },\n"
-       (num (q 0.5)) (num (q 0.99)) (num (q 0.999)) (num (Metrics.Sketch.max r.latency)));
-  Buffer.add_string b
-    (Printf.sprintf "  \"bandwidth_bps\": { \"mean\": %s, \"p99\": %s },\n"
-       (num (Metrics.Sketch.mean r.bandwidth))
-       (num (Metrics.Sketch.quantile r.bandwidth 0.99)));
-  Buffer.add_string b (Printf.sprintf "  \"rpc_queued\": %d,\n" r.rpc_queued);
-  Buffer.add_string b (Printf.sprintf "  \"messages_delivered\": %d,\n" r.delivered);
-  Buffer.add_string b (Printf.sprintf "  \"duplicate_deliveries\": %d,\n" r.duplicates);
-  Buffer.add_string b (Printf.sprintf "  \"duplicate_factor\": %s\n" (num (duplicate_factor r)));
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  (* Delivered over unique messages (pubsub-style amplification factor):
+     the fault layer is the only source of duplicate deliveries. *)
+  let unique = r.delivered - r.duplicates in
+  let int k v = (k, Regime.Int v) and float k v = (k, Regime.Float v) in
+  [
+    int "requested" queries;
+    int "completed" r.completed;
+    int "skipped" r.skipped;
+    float "sim_s" r.duration;
+    float "latency_p50_s" (q 0.5);
+    float "latency_p99_s" (q 0.99);
+    float "latency_p999_s" (q 0.999);
+    float "latency_max_s" (Metrics.Sketch.max r.latency);
+    float "latency_rel_err" Metrics.Sketch.relative_error;
+    float "bandwidth_mean_Bps" (Metrics.Sketch.mean r.bandwidth);
+    float "bandwidth_p99_Bps" (Metrics.Sketch.quantile r.bandwidth 0.99);
+    int "rpc_queued" r.rpc_queued;
+    int "delivered" r.delivered;
+    int "duplicates" r.duplicates;
+    float "duplicate_factor"
+      (if unique <= 0 then 1.0 else float_of_int r.delivered /. float_of_int unique);
+  ]
+  @
+  match r.entropy with
+  | Some e ->
+    [
+      int "cache_hits" r.cache_hits;
+      float "h_baseline_bits" e.Cache_entropy.h_baseline;
+      float "h_effective_bits" e.Cache_entropy.h_effective;
+      float "bits_leaked" e.Cache_entropy.bits_leaked;
+      float "anonymity_degree" e.Cache_entropy.degree;
+      int "observed" e.Cache_entropy.observed_total;
+      int "suppressed" e.Cache_entropy.suppressed_total;
+    ]
+  | None -> []
+
+(* Success-rate floors, documented in EXPERIMENTS.md. As with the chaos
+   regimes they sit deliberately below the rates observed at the default
+   n=60, queries=2000 across seeds 7/11/42 (steady 88-97%, burst 81-97%,
+   diurnal 84-96% -- the Zipf head concentrates traffic on few keys, so
+   a single hard-to-route hot key moves the rate by several points per
+   seed), high enough that a routing or backpressure regression still
+   trips them. The duration comes from the arrival timeline, so
+   [params.duration] is unused. *)
+let regimes =
+  List.map
+    (fun (regime, name, floor) ->
+      {
+        Regime.suite = "load";
+        name;
+        floor = Some floor;
+        min_n = 8;
+        default_n = 60;
+        default_duration = 0.0;
+        body =
+          (fun { Regime.n; seed; queries; cache; chaos; _ } ->
+            let r = run ~n ~seed ~queries ~cache ~chaos ~regime () in
+            {
+              r.outcome with
+              Regime.lookups_done = r.issued;
+              lookups_converged = r.converged;
+              fields = fields ~queries r;
+            });
+      })
+    [ (Steady, "steady", 0.80); (Burst, "burst", 0.75); (Diurnal, "diurnal", 0.80) ]

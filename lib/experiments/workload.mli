@@ -67,19 +67,9 @@ type regime = Steady | Burst | Diurnal
       per-destination RPC in-flight cap of 32 so backpressure engages.
     - [Diurnal]: 40 q/s base, amplitude 0.8, 600 s period. *)
 
-val all_regimes : regime list
-val regime_name : regime -> string
-val regime_of_name : string -> regime option
-
-val threshold : regime -> float
-(** Success-rate floor the regime must clear (see EXPERIMENTS.md for
-    how the numbers were picked). *)
-
 val process_of : regime -> Arrivals.process
 
 type result = {
-  regime : regime;
-  requested : int;  (** arrivals in the precomputed timeline *)
   issued : int;  (** lookups actually started *)
   completed : int;  (** continuations that fired before the run ended *)
   converged : int;
@@ -93,28 +83,12 @@ type result = {
   rpc_queued : int;  (** calls ever deferred by the in-flight cap *)
   delivered : int;  (** network messages delivered, duplicates included *)
   duplicates : int;  (** duplicate deliveries injected by the fault layer *)
-  trace : Octo_sim.Trace.t;
-  checker : Octopus.Invariant.t;
+  outcome : Regime.outcome;
+      (** trace and finished checker; its lookup counts are the
+          [Lookup_done] events, not [issued]/[converged] *)
   entropy : Octo_anonymity.Cache_entropy.report option;
       (** cache/anonymity impact; [Some] iff the cache was enabled *)
 }
-
-val success_rate : result -> float
-(** [converged / issued]; unfinished lookups count against it. *)
-
-val duplicate_factor : result -> float
-(** Delivered messages over unique messages (delivered minus injected
-    duplicate deliveries) — the pubsub-style amplification factor.
-    [1.0] on a clean run; above it only when the duplication fault is
-    active ([chaos]). *)
-
-val summary_json : result -> string
-(** The octopus-load/v1 JSON summary written by [load --json]: counts,
-    success rate, latency/bandwidth quantiles, RPC backpressure, and
-    the duplicate-factor metric. Non-finite values render as [null]. *)
-
-val passed : result -> bool
-(** [issued > 0] and {!success_rate} clears {!threshold}. *)
 
 val run :
   ?n:int ->
@@ -122,7 +96,6 @@ val run :
   ?queries:int ->
   ?cache:bool ->
   ?chaos:bool ->
-  ?trace_capacity:int ->
   regime:regime ->
   unit ->
   result
@@ -130,5 +103,16 @@ val run :
     off. [chaos] overlays the chaos harness's dup-reorder fault plan
     (message-level faults only, so success floors keep their meaning)
     plus the graceful-degradation knobs. The invariant checker is
-    attached for the whole run; inspect [checker] or
-    {!Octopus.Invariant.ok}. *)
+    attached for the whole run and the run closes with
+    {!Regime.finish}. *)
+
+val regimes : Regime.t list
+(** [load/steady], [load/burst] and [load/diurnal] (default n = 60):
+    {!run} with [params.queries], [cache] and [chaos]; the duration
+    follows from the arrival timeline. Lookups done/converged are
+    [issued]/[converged], so unfinished lookups count against the
+    floor. Fields: the counts, [sim_s], latency quantiles and bandwidth
+    from the sketches, RPC backpressure, [delivered] with its
+    [duplicates] and [duplicate_factor] (delivered over unique
+    messages, [1.0] on a clean run), and, with the cache on,
+    [cache_hits] plus the {!Octo_anonymity.Cache_entropy} report. *)

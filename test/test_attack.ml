@@ -6,52 +6,63 @@
    runs must be same-seed deterministic. *)
 
 module Trace = Octo_sim.Trace
-module Attack_exp = Octo_experiments.Attack_exp
+module Regime = Octo_experiments.Regime
 
 (* Smaller than the CLI default (60 nodes, 240 s) but large enough that a
    campaign has honest nodes left to attack; the CLI guard floor is 16. *)
 let n = 24
 let duration = 120.0
 
-let run ?cache regime = Attack_exp.run ?cache ~n ~duration ~seed:7 ~regime ()
+let regime name =
+  match Octo_experiments.Registry.select ("attack/" ^ name) with
+  | Some [ r ] -> r
+  | _ -> Alcotest.failf "no regime attack/%s" name
 
-let check_regime ?cache regime =
-  let r = run ?cache regime in
-  let name = Attack_exp.regime_name regime in
+let run ?(cache = false) ?(seed = 7) name =
+  (regime name).Regime.body { Regime.n; duration; seed; queries = 1; cache; chaos = false }
+
+let count r field = Regime.int_field r field
+
+let check_regime ?cache name =
+  let r = run ?cache name in
   Alcotest.(check bool)
     (Printf.sprintf "%s: lookups ran" name)
-    true (r.Attack_exp.lookups_done > 0);
+    true (r.Regime.lookups_done > 0);
   Alcotest.(check bool)
-    (Printf.sprintf "%s: success %.2f above floor %.2f" name
-       (Attack_exp.success_rate r) (Attack_exp.threshold regime))
-    true (Attack_exp.passed r);
-  (* [Attack_exp.run] already ran post-campaign convergence, the eclipse
+    (Printf.sprintf "%s: success %.2f above floor %.2f" name (Regime.success_rate r)
+       (Option.get (regime name).Regime.floor))
+    true (Regime.passed (regime name) r);
+  (* The regime body already ran post-campaign convergence, the eclipse
      watch, and end-of-run reconciliation against the checker. *)
-  (match Octopus.Invariant.violations r.Attack_exp.checker with
+  (match Octopus.Invariant.violations r.Regime.checker with
   | [] -> ()
   | v :: _ ->
     Alcotest.failf "%s: %d violation(s), first: %s" name
-      (List.length (Octopus.Invariant.violations r.Attack_exp.checker))
+      (List.length (Octopus.Invariant.violations r.Regime.checker))
       v.Octopus.Invariant.what);
   r
 
 let test_sybil () =
-  let r = check_regime Attack_exp.Sybil_flood in
-  Alcotest.(check bool) "campaign made requests" true (r.Attack_exp.sybil_requests > 0);
-  Alcotest.(check bool) "limiter refused some" true (r.Attack_exp.sybil_refused > 0);
+  let r = check_regime "sybil" in
+  Alcotest.(check bool) "campaign made requests" true (count r "sybil_requests" > 0);
+  Alcotest.(check bool) "limiter refused some" true (count r "sybil_refused" > 0);
   Alcotest.(check bool)
-    (Printf.sprintf "admissions %d within cap %d" r.Attack_exp.sybils_admitted
-       r.Attack_exp.sybil_cap)
+    (Printf.sprintf "admissions %d within cap %d" (count r "sybils_admitted")
+       (count r "sybil_cap"))
     true
-    (r.Attack_exp.sybils_admitted <= r.Attack_exp.sybil_cap);
+    (count r "sybils_admitted" <= count r "sybil_cap");
   (* The measured cost curve must show the placement defense raising the
      per-eclipse spend: random assignment beats crafted placement. *)
-  Alcotest.(check bool) "cost curve measured" true (r.Attack_exp.cost_curve <> []);
+  List.iter
+    (fun label ->
+      Alcotest.(check bool) ("cost curve measured: " ^ label) true
+        (count r (label ^ ".requests") > 0))
+    [ "crafted/open"; "crafted/limited"; "assigned/open"; "assigned/limited" ];
   Alcotest.(check bool) "id assignment raises attack cost" true
-    (Attack_exp.cost_factor r.Attack_exp.cost_curve > 1.0)
+    (Regime.float_field r "cost_factor" > 1.0)
 
 let test_eclipse_recovers () =
-  let r = check_regime Attack_exp.Eclipse in
+  let r = check_regime "eclipse" in
   (* Zero violations above already implies no honest node ended the run
      eclipsed; the campaign itself must still have been armed. *)
   let armed =
@@ -60,57 +71,44 @@ let test_eclipse_recovers () =
         match ev.Trace.data with
         | Trace.Attack_phase { on = true; _ } -> true
         | _ -> false)
-      (Trace.events r.Attack_exp.trace)
+      (Trace.events r.Regime.trace)
   in
   Alcotest.(check bool) "campaign window armed" true armed
 
 let test_eclipse_rcache_flush () =
   (* Regression: surveillance convictions during the eclipse campaign must
      flush cached owners, or clients keep routing to revoked colluders. *)
-  let r = check_regime ~cache:true Attack_exp.Eclipse in
-  Alcotest.(check bool) "convictions happened" true (r.Attack_exp.revocations > 0);
+  let r = check_regime ~cache:true "eclipse" in
+  Alcotest.(check bool) "convictions happened" true (count r "revocations" > 0);
   Alcotest.(check bool)
     (Printf.sprintf "every revocation flushed the cache (%d flushes / %d revocations)"
-       r.Attack_exp.cache_flushes r.Attack_exp.revocations)
+       (count r "cache_flushes") (count r "revocations"))
     true
-    (r.Attack_exp.cache_flushes >= r.Attack_exp.revocations)
+    (count r "cache_flushes" >= count r "revocations")
 
 let test_churn_range () =
-  let r = check_regime Attack_exp.Churn_range in
-  Alcotest.(check bool) "fresh estimates produced" true (r.Attack_exp.fresh_total > 0);
-  Alcotest.(check bool) "stale estimates produced" true (r.Attack_exp.stale_total > 0)
+  let r = check_regime "churn-range" in
+  Alcotest.(check bool) "fresh estimates produced" true (count r "fresh_total" > 0);
+  Alcotest.(check bool) "stale estimates produced" true (count r "stale_total" > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism *)
 
-let trace_lines r = List.map Trace.to_json (Trace.events r.Attack_exp.trace)
+let trace_lines r = List.map Trace.to_json (Trace.events r.Regime.trace)
 
 let test_same_seed_byte_identical () =
-  let a = trace_lines (run Attack_exp.Sybil_flood) in
-  let b = trace_lines (run Attack_exp.Sybil_flood) in
+  let a = trace_lines (run "sybil") in
+  let b = trace_lines (run "sybil") in
   Alcotest.(check int) "same event count" (List.length a) (List.length b);
   List.iter2 (fun x y -> Alcotest.(check string) "identical event" x y) a b
 
 let test_seeds_differ () =
-  let a = trace_lines (run Attack_exp.Sybil_flood) in
-  let b =
-    trace_lines
-      (Attack_exp.run ~n ~duration ~seed:11 ~regime:Attack_exp.Sybil_flood ())
-  in
+  let a = trace_lines (run "sybil") in
+  let b = trace_lines (run ~seed:11 "sybil") in
   Alcotest.(check bool) "different seeds diverge" true (a <> b)
 
 (* ------------------------------------------------------------------ *)
 (* Plumbing *)
-
-let test_regime_names_roundtrip () =
-  List.iter
-    (fun r ->
-      match Attack_exp.regime_of_name (Attack_exp.regime_name r) with
-      | Some r' -> Alcotest.(check bool) "roundtrip" true (r = r')
-      | None -> Alcotest.failf "name %s does not parse back" (Attack_exp.regime_name r))
-    Attack_exp.all_regimes;
-  Alcotest.(check bool) "unknown name rejected" true
-    (Attack_exp.regime_of_name "nope" = None)
 
 let test_eclipse_watch_counts () =
   (* Unit-level check of [Invariant.check_eclipse]: a freshly bootstrapped
@@ -139,8 +137,7 @@ let () =
           Alcotest.test_case "seeds diverge" `Slow test_seeds_differ;
         ] );
       ( "plumbing",
-        [ Alcotest.test_case "regime names roundtrip" `Quick test_regime_names_roundtrip;
-          Alcotest.test_case "eclipse watch clean on honest ring" `Quick
+        [ Alcotest.test_case "eclipse watch clean on honest ring" `Quick
             test_eclipse_watch_counts;
         ] );
     ]

@@ -6,7 +6,7 @@
    all. *)
 
 module Trace = Octo_sim.Trace
-module Chaos_exp = Octo_experiments.Chaos_exp
+module Regime = Octo_experiments.Regime
 module Scenario = Octo_experiments.Scenario
 
 (* Small but not tiny: large enough for rings to survive a quarter of
@@ -14,73 +14,79 @@ module Scenario = Octo_experiments.Scenario
 let n = 24
 let duration = 80.0
 
-let run regime = Chaos_exp.run ~n ~duration ~seed:7 ~regime ()
+let regime name =
+  match Octo_experiments.Registry.select ("chaos/" ^ name) with
+  | Some [ r ] -> r
+  | _ -> Alcotest.failf "no regime chaos/%s" name
 
-let check_regime regime ~expect_faults =
-  let r = run regime in
-  let name = Chaos_exp.regime_name regime in
+let run ?(seed = 7) name =
+  (regime name).Regime.body
+    { Regime.n; duration; seed; queries = 1; cache = false; chaos = false }
+
+let count r field = Regime.int_field r field
+
+let check_regime name ~expect_faults =
+  let r = run name in
+  let floor = Option.get (regime name).Regime.floor in
   Alcotest.(check bool)
     (Printf.sprintf "%s: fault layer engaged" name)
     true (expect_faults r > 0);
   Alcotest.(check bool)
     (Printf.sprintf "%s: lookups ran" name)
-    true (r.Chaos_exp.lookups_done > 0);
+    true (r.Regime.lookups_done > 0);
   Alcotest.(check bool)
-    (Printf.sprintf "%s: success %.2f above floor %.2f" name (Chaos_exp.success_rate r)
-       (Chaos_exp.threshold regime))
-    true (Chaos_exp.passed r);
-  (* [Chaos_exp.run] has already run the post-heal convergence check and
+    (Printf.sprintf "%s: success %.2f above floor %.2f" name (Regime.success_rate r) floor)
+    true (Regime.passed (regime name) r);
+  (* The regime body has already run the post-heal convergence check and
      the end-of-run reconciliation (byte accounting, corrupt-acceptance
      watch list) against the checker. *)
-  (match Octopus.Invariant.violations r.Chaos_exp.checker with
+  (match Octopus.Invariant.violations r.Regime.checker with
   | [] -> ()
   | v :: _ ->
     Alcotest.failf "%s: %d violation(s), first: %s" name
-      (List.length (Octopus.Invariant.violations r.Chaos_exp.checker))
+      (List.length (Octopus.Invariant.violations r.Regime.checker))
       v.Octopus.Invariant.what);
   r
 
 let test_partition () =
-  ignore (check_regime Chaos_exp.Partition_heal ~expect_faults:(fun r -> r.Chaos_exp.drops))
+  ignore (check_regime "partition" ~expect_faults:(fun r -> count r "drops"))
 
 let test_corruption () =
-  let r = check_regime Chaos_exp.Corruption ~expect_faults:(fun r -> r.Chaos_exp.corruptions) in
+  let r = check_regime "corrupt" ~expect_faults:(fun r -> count r "corruptions") in
   (* The invariant checker's clean bill above implies the watch list
      stayed empty: thousands of garbled documents crossed the wire and
      not one passed verification. Make the volume explicit. *)
-  Alcotest.(check bool) "corruption actually exercised" true (r.Chaos_exp.corruptions > 50)
+  Alcotest.(check bool) "corruption actually exercised" true (count r "corruptions" > 50)
 
 let test_dup_reorder () =
   let r =
-    check_regime Chaos_exp.Dup_reorder ~expect_faults:(fun r ->
-        r.Chaos_exp.duplicates + r.Chaos_exp.reorders)
+    check_regime "dup-reorder" ~expect_faults:(fun r ->
+        count r "duplicates" + count r "reorders")
   in
-  Alcotest.(check bool) "duplicates seen" true (r.Chaos_exp.duplicates > 0);
-  Alcotest.(check bool) "reorders seen" true (r.Chaos_exp.reorders > 0)
+  Alcotest.(check bool) "duplicates seen" true (count r "duplicates" > 0);
+  Alcotest.(check bool) "reorders seen" true (count r "reorders" > 0)
 
 let test_crash_burst () =
-  let r = check_regime Chaos_exp.Crash_burst ~expect_faults:(fun r -> r.Chaos_exp.crashes) in
-  Alcotest.(check int) "an eighth of the ring crashed" (n / 8) r.Chaos_exp.crashes
+  let r = check_regime "crash" ~expect_faults:(fun r -> count r "crashes") in
+  Alcotest.(check int) "an eighth of the ring crashed" (n / 8) (count r "crashes")
 
 let test_outage () =
-  ignore (check_regime Chaos_exp.Regional_outage ~expect_faults:(fun r -> r.Chaos_exp.drops))
+  ignore (check_regime "outage" ~expect_faults:(fun r -> count r "drops"))
 
 (* ------------------------------------------------------------------ *)
 (* Determinism *)
 
-let trace_lines r = List.map Trace.to_json (Trace.events r.Chaos_exp.trace)
+let trace_lines r = List.map Trace.to_json (Trace.events r.Regime.trace)
 
 let test_same_seed_byte_identical () =
-  let a = trace_lines (run Chaos_exp.Partition_heal) in
-  let b = trace_lines (run Chaos_exp.Partition_heal) in
+  let a = trace_lines (run "partition") in
+  let b = trace_lines (run "partition") in
   Alcotest.(check int) "same event count" (List.length a) (List.length b);
   List.iter2 (fun x y -> Alcotest.(check string) "identical event" x y) a b
 
 let test_seeds_differ () =
-  let a = trace_lines (run Chaos_exp.Partition_heal) in
-  let b =
-    trace_lines (Chaos_exp.run ~n ~duration ~seed:11 ~regime:Chaos_exp.Partition_heal ())
-  in
+  let a = trace_lines (run "partition") in
+  let b = trace_lines (run ~seed:11 "partition") in
   Alcotest.(check bool) "different seeds diverge" true (a <> b)
 
 (* ------------------------------------------------------------------ *)
@@ -105,15 +111,6 @@ let test_no_plan_no_fault_layer () =
       in
       Alcotest.(check bool) "no fault events in trace" false faulty)
 
-let test_regime_names_roundtrip () =
-  List.iter
-    (fun r ->
-      match Chaos_exp.regime_of_name (Chaos_exp.regime_name r) with
-      | Some r' -> Alcotest.(check bool) "roundtrip" true (r = r')
-      | None -> Alcotest.failf "name %s does not parse back" (Chaos_exp.regime_name r))
-    Chaos_exp.all_regimes;
-  Alcotest.(check bool) "unknown name rejected" true (Chaos_exp.regime_of_name "nope" = None)
-
 let () =
   Alcotest.run "chaos"
     [ ( "regimes",
@@ -129,6 +126,5 @@ let () =
         ] );
       ( "plumbing",
         [ Alcotest.test_case "no plan, no fault layer" `Quick test_no_plan_no_fault_layer;
-          Alcotest.test_case "regime names roundtrip" `Quick test_regime_names_roundtrip;
         ] );
     ]

@@ -1,6 +1,6 @@
 (* Tests for the experiment drivers: bandwidth model invariants, report
-   rendering, the efficiency harness, small security runs, and ablation
-   plumbing. *)
+   rendering, the efficiency harness, small security runs, ablation
+   plumbing, and the gated-regime registry. *)
 
 open Octo_experiments
 module Bandwidth = Octopus.Bandwidth
@@ -170,6 +170,52 @@ let test_ablation_single_path_direction () =
     true
     (leak true >= leak false -. 0.1)
 
+(* ------------------------------------------------------------------ *)
+(* Regime registry *)
+
+(* The documented floors (EXPERIMENTS.md); [None] for the regimes gated
+   by the invariant checker alone. *)
+let documented_floors =
+  [
+    ("trace/honest", None);
+    ("chaos/partition", Some 0.50);
+    ("chaos/corrupt", Some 0.60);
+    ("chaos/dup-reorder", Some 0.70);
+    ("chaos/crash", Some 0.55);
+    ("chaos/outage", Some 0.50);
+    ("attack/sybil", Some 0.80);
+    ("attack/eclipse", Some 0.50);
+    ("attack/churn-range", Some 0.60);
+    ("load/steady", Some 0.80);
+    ("load/burst", Some 0.75);
+    ("load/diurnal", Some 0.80);
+    ("scale/churn", None);
+  ]
+
+let test_registry () =
+  Alcotest.(check (list string))
+    "registered regimes, in order" (List.map fst documented_floors)
+    (List.map Regime.id Registry.all);
+  List.iter
+    (fun (r : Regime.t) ->
+      let id = Regime.id r in
+      (match Registry.select id with
+      | Some [ r' ] -> Alcotest.(check bool) (id ^ " parses back") true (r == r')
+      | _ -> Alcotest.failf "%s does not parse back to one regime" id);
+      (match Registry.select r.Regime.suite with
+      | Some rs -> Alcotest.(check bool) (id ^ " in its suite") true (List.memq r rs)
+      | None -> Alcotest.failf "suite %s does not parse" r.Regime.suite);
+      Alcotest.(check (option (float 0.0)))
+        (id ^ " floor") (List.assoc id documented_floors) r.Regime.floor;
+      Alcotest.(check bool) (id ^ " default n >= min n") true
+        (r.Regime.default_n >= r.Regime.min_n))
+    Registry.all;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (Printf.sprintf "%S rejected" name) true
+        (Option.is_none (Registry.select name)))
+    [ "nope"; "chaos/nope"; "chaos/"; "/partition"; ""; "partition" ]
+
 let () =
   Alcotest.run "octo_experiments"
     [
@@ -193,4 +239,5 @@ let () =
           Alcotest.test_case "dummies direction" `Slow test_ablation_dummies_direction;
           Alcotest.test_case "single path direction" `Slow test_ablation_single_path_direction;
         ] );
+      ("registry", [ Alcotest.test_case "every regime" `Quick test_registry ]);
     ]

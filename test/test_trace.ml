@@ -176,21 +176,21 @@ let scenario ?(revoke_one = false) ?(seed = 7) () =
 
 let test_scenario_no_violations () =
   let r = scenario () in
-  let chk = r.Octo_experiments.Tracecheck.checker in
+  let chk = r.Octo_experiments.Regime.checker in
   if not (Octopus.Invariant.ok chk) then
     Octopus.Invariant.report chk Format.str_formatter;
   Alcotest.(check string) "no violations" "" (Format.flush_str_formatter ());
-  Alcotest.(check bool) "lookups ran" true (r.Octo_experiments.Tracecheck.lookups_done > 0);
+  Alcotest.(check bool) "lookups ran" true (r.Octo_experiments.Regime.lookups_done > 0);
   Alcotest.(check bool) "events checked" true (Octopus.Invariant.checked chk > 1000)
 
 let test_scenario_with_revocation () =
   let r = scenario ~revoke_one:true () in
-  let chk = r.Octo_experiments.Tracecheck.checker in
+  let chk = r.Octo_experiments.Regime.checker in
   let revocations =
     List.filter
       (fun (ev : Trace.event) ->
         match ev.Trace.data with Trace.Revoked _ -> true | _ -> false)
-      (Trace.events r.Octo_experiments.Tracecheck.trace)
+      (Trace.events r.Octo_experiments.Regime.trace)
   in
   Alcotest.(check int) "one revocation traced" 1 (List.length revocations);
   if not (Octopus.Invariant.ok chk) then
@@ -201,7 +201,7 @@ let test_injected_misroute_caught () =
   Octopus.Olookup.set_test_misroute
     (Some (fun (p : Peer.t) -> { p with Peer.id = p.Peer.id + 1 }));
   let r = Fun.protect ~finally:(fun () -> Octopus.Olookup.set_test_misroute None) scenario in
-  let chk = r.Octo_experiments.Tracecheck.checker in
+  let chk = r.Octo_experiments.Regime.checker in
   let vs = Octopus.Invariant.violations chk in
   Alcotest.(check bool) "violations reported" true (vs <> []);
   (* Every violation carries its offending Lookup_done event. *)
@@ -217,7 +217,7 @@ let test_injected_misroute_caught () =
 (* Cross-seed determinism *)
 
 let rendered r =
-  List.map Trace.to_json (Trace.events r.Octo_experiments.Tracecheck.trace)
+  List.map Trace.to_json (Trace.events r.Octo_experiments.Regime.trace)
 
 let test_same_seed_same_trace () =
   let a = rendered (scenario ~seed:5 ()) in
