@@ -123,6 +123,16 @@ let test_eclipse_watch_counts () =
     (Octopus.Invariant.check_eclipse ~allowed:0 chk);
   Alcotest.(check bool) "no violations recorded" true (Octopus.Invariant.ok chk)
 
+let test_regime_names_roundtrip () =
+  List.iter
+    (fun (r : Regime.t) ->
+      match Octo_experiments.Registry.select ("attack/" ^ r.Regime.name) with
+      | Some [ r' ] -> Alcotest.(check bool) "roundtrip" true (r == r')
+      | _ -> Alcotest.failf "name %s does not parse back" (Regime.id r))
+    Octo_experiments.Attack_exp.regimes;
+  Alcotest.(check bool) "unknown name rejected" true
+    (Octo_experiments.Registry.select "attack/nope" = None)
+
 let () =
   Alcotest.run "attack"
     [ ( "regimes",
@@ -137,7 +147,8 @@ let () =
           Alcotest.test_case "seeds diverge" `Slow test_seeds_differ;
         ] );
       ( "plumbing",
-        [ Alcotest.test_case "eclipse watch clean on honest ring" `Quick
+        [ Alcotest.test_case "regime names roundtrip" `Quick test_regime_names_roundtrip;
+          Alcotest.test_case "eclipse watch clean on honest ring" `Quick
             test_eclipse_watch_counts;
         ] );
     ]

@@ -111,6 +111,16 @@ let test_no_plan_no_fault_layer () =
       in
       Alcotest.(check bool) "no fault events in trace" false faulty)
 
+let test_regime_names_roundtrip () =
+  List.iter
+    (fun (r : Regime.t) ->
+      match Octo_experiments.Registry.select ("chaos/" ^ r.Regime.name) with
+      | Some [ r' ] -> Alcotest.(check bool) "roundtrip" true (r == r')
+      | _ -> Alcotest.failf "name %s does not parse back" (Regime.id r))
+    Octo_experiments.Chaos_exp.regimes;
+  Alcotest.(check bool) "unknown name rejected" true
+    (Octo_experiments.Registry.select "chaos/nope" = None)
+
 let () =
   Alcotest.run "chaos"
     [ ( "regimes",
@@ -126,5 +136,6 @@ let () =
         ] );
       ( "plumbing",
         [ Alcotest.test_case "no plan, no fault layer" `Quick test_no_plan_no_fault_layer;
+          Alcotest.test_case "regime names roundtrip" `Quick test_regime_names_roundtrip;
         ] );
     ]

@@ -209,6 +209,20 @@ let test_run_chaos_same_seed_byte_identical () =
   let r1 = go () and r2 = go () in
   Alcotest.(check (list string)) "chaos traces byte-identical" (trace_lines r1) (trace_lines r2)
 
+let test_regime_names_round_trip () =
+  Alcotest.(check (list string))
+    "load regime names" [ "steady"; "burst"; "diurnal" ]
+    (List.map (fun (r : Octo_experiments.Regime.t) -> r.Octo_experiments.Regime.name)
+       Workload.regimes);
+  List.iter
+    (fun (r : Octo_experiments.Regime.t) ->
+      match Octo_experiments.Registry.select (Octo_experiments.Regime.id r) with
+      | Some [ r' ] -> Alcotest.(check bool) "round trip" true (r == r')
+      | _ -> Alcotest.fail "regime name did not round-trip")
+    Workload.regimes;
+  Alcotest.(check bool) "unknown name rejected" true
+    (Octo_experiments.Registry.select "load/lunar" = None)
+
 let () =
   Alcotest.run "workload"
     [
@@ -233,5 +247,6 @@ let () =
           Alcotest.test_case "run byte-identical" `Slow test_run_same_seed_byte_identical;
           Alcotest.test_case "chaos run byte-identical" `Slow
             test_run_chaos_same_seed_byte_identical;
+          Alcotest.test_case "regime names" `Quick test_regime_names_round_trip;
         ] );
     ]
