@@ -11,34 +11,61 @@ let keystream_block ~key ~nonce counter =
   done;
   Hmac.mac ~key msg
 
-(* Scratch for the allocation-free path: the HMAC input (nonce ‖ counter)
-   and one 32-byte keystream block. Single-threaded reuse, same as the
-   scratch contexts in Sha256/Hmac. *)
+(* Allocation-free path. Keystream block [c] is
+   [HMAC(key, nonce ‖ be64 c)]: with the key's pad states cached, that is
+   one inner compression over the 24-byte message padded to
+   (64 + 24) · 8 = 704 bits and one outer compression over the inner digest
+   padded to (64 + 32) · 8 = 768 bits. Both blocks are built directly as
+   message words, and the keystream is read from the chain words. [ks_h] is
+   the chain state, [ks_w] the message schedule; single-threaded reuse,
+   same as the scratch contexts in Sha256/Hmac. *)
 (* octolint: allow no-shared-mutable — single-domain scratch; multicore:
    Domain.DLS pair, nothing escapes a call. *)
-let ctr_msg = Bytes.create (nonce_size + 8)
+let ks_h = Array.make 8 0
 
-(* octolint: allow no-shared-mutable — paired with [ctr_msg]; same
+(* octolint: allow no-shared-mutable — paired with [ks_h]; same
    Domain.DLS disposition. *)
-let ks_block = Bytes.create 32
+let ks_w = Array.make 64 0
+
+let be32 b off =
+  (Char.code (Bytes.get b off) lsl 24)
+  lor (Char.code (Bytes.get b (off + 1)) lsl 16)
+  lor (Char.code (Bytes.get b (off + 2)) lsl 8)
+  lor Char.code (Bytes.get b (off + 3))
 
 let xor_in_place ~key ~nonce_src ~nonce_off buf ~off ~len =
-  Bytes.blit nonce_src nonce_off ctr_msg 0 nonce_size;
+  let k = Hmac.keyed_of key in
+  let n0 = be32 nonce_src nonce_off
+  and n1 = be32 nonce_src (nonce_off + 4)
+  and n2 = be32 nonce_src (nonce_off + 8)
+  and n3 = be32 nonce_src (nonce_off + 12) in
+  let h = ks_h and w = ks_w in
   let counter = ref 0 in
   let pos = ref 0 in
   while !pos < len do
-    for i = 0 to 7 do
-      Bytes.unsafe_set ctr_msg (nonce_size + i)
-        (Char.unsafe_chr ((!counter lsr (8 * (7 - i))) land 0xFF))
-    done;
-    Hmac.mac_into ~key ctr_msg ks_block 0;
+    Sha256.load_state k.Hmac.inner h;
+    w.(0) <- n0;
+    w.(1) <- n1;
+    w.(2) <- n2;
+    w.(3) <- n3;
+    w.(4) <- (!counter lsr 32) land 0xFFFFFFFF;
+    w.(5) <- !counter land 0xFFFFFFFF;
+    w.(6) <- 0x80000000;
+    Array.fill w 7 8 0;
+    w.(15) <- 704;
+    Sha256.compress_words h w;
+    Array.blit h 0 w 0 8;
+    w.(8) <- 0x80000000;
+    Array.fill w 9 6 0;
+    w.(15) <- 768;
+    Sha256.load_state k.Hmac.outer h;
+    Sha256.compress_words h w;
     let chunk = min 32 (len - !pos) in
     let base = off + !pos in
     for i = 0 to chunk - 1 do
+      let ks = (Array.unsafe_get h (i lsr 2) lsr (24 - ((i land 3) lsl 3))) land 0xFF in
       Bytes.unsafe_set buf (base + i)
-        (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get buf (base + i))
-           lxor Char.code (Bytes.unsafe_get ks_block i)))
+        (Char.unsafe_chr (Char.code (Bytes.unsafe_get buf (base + i)) lxor ks))
     done;
     incr counter;
     pos := !pos + chunk

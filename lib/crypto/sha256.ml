@@ -57,15 +57,10 @@ let reset ctx =
 
 let[@inline always] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
 
-(* [block]/[off] access is bounds-unchecked: every caller hands a block it
-   just sized (off + 64 <= length), and this loop dominates the profile. *)
-let compress ctx block off =
-  let w = ctx.w in
-  for i = 0 to 15 do
-    let base = off + (4 * i) in
-    let b j = Char.code (Bytes.unsafe_get block (base + j)) in
-    Array.unsafe_set w i ((b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3)
-  done;
+(* One compression of chain state [h] over the message schedule [w], whose
+   first 16 words hold the block. *)
+let compress_words h w =
+  if Array.length h < 8 || Array.length w < 64 then invalid_arg "Sha256.compress_words";
   for i = 16 to 63 do
     let w15 = Array.unsafe_get w (i - 15) and w2 = Array.unsafe_get w (i - 2) in
     let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
@@ -73,7 +68,6 @@ let compress ctx block off =
     Array.unsafe_set w i
       ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask32)
   done;
-  let h = ctx.h in
   let a = ref h.(0)
   and b = ref h.(1)
   and c = ref h.(2)
@@ -108,6 +102,22 @@ let compress ctx block off =
   h.(5) <- (h.(5) + !f) land mask32;
   h.(6) <- (h.(6) + !g) land mask32;
   h.(7) <- (h.(7) + !hh) land mask32
+
+(* [block]/[off] access is bounds-unchecked: every caller hands a block it
+   just sized (off + 64 <= length), and this loop dominates the profile.
+   The byte loads are spelled out rather than factored into a local
+   closure, which ocamlopt would allocate on every iteration. *)
+let compress ctx block off =
+  let w = ctx.w in
+  for i = 0 to 15 do
+    let base = off + (4 * i) in
+    Array.unsafe_set w i
+      ((Char.code (Bytes.unsafe_get block base) lsl 24)
+      lor (Char.code (Bytes.unsafe_get block (base + 1)) lsl 16)
+      lor (Char.code (Bytes.unsafe_get block (base + 2)) lsl 8)
+      lor Char.code (Bytes.unsafe_get block (base + 3)))
+  done;
+  compress_words ctx.h w
 
 let update ctx data =
   let len = Bytes.length data in
@@ -180,6 +190,8 @@ let restore ctx st =
   ctx.buf_len <- 0;
   ctx.total <- st.stotal
 
+let load_state st h = Array.blit st.sh 0 h 0 8
+
 (* One-shot digest through a module-level scratch context: no per-call ctx
    allocation. The simulator is single-threaded; [update]/[finalize_into]
    never call back into this module, so reuse is safe. *)
@@ -202,7 +214,14 @@ let digest_string s =
   finalize_into oneshot out 0;
   out
 
+let hex_digits = "0123456789abcdef"
+
 let hex digest =
-  let buf = Buffer.create (2 * Bytes.length digest) in
-  Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) digest;
-  Buffer.contents buf
+  let n = Bytes.length digest in
+  let out = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code (Bytes.unsafe_get digest i) in
+    Bytes.unsafe_set out (2 * i) (String.unsafe_get hex_digits (c lsr 4));
+    Bytes.unsafe_set out ((2 * i) + 1) (String.unsafe_get hex_digits (c land 15))
+  done;
+  Bytes.unsafe_to_string out

@@ -53,9 +53,18 @@ type data =
 
 type event = { seq : int; time : float; node : int; data : data }
 
+(* The retained window is stored column-wise: one unboxed float column, one
+   int column and the payloads exactly as the emitter allocated them, so a
+   retained event costs three slots plus its payload instead of an option
+   box, a record and a boxed float. [seq] is implied by [next_seq]. The
+   columns start small and double up to [capacity]; they only grow before
+   the first wrap, so until then the live slots are exactly
+   [0, next_seq). *)
 type t = {
   capacity : int;
-  ring : event option array;
+  mutable times : Float.Array.t;
+  mutable nodes : int array;
+  mutable datas : data array;
   mutable next_seq : int;
   mutable subscribers : (event -> unit) list;
 }
@@ -69,8 +78,19 @@ type t = {
    collection, per the ROADMAP item 2 plan. *)
 let current : t option ref = ref None
 
+let filler = Sched { at = 0.0 }
+
 let create ?(capacity = 65_536) () =
-  { capacity; ring = Array.make capacity None; next_seq = 0; subscribers = [] }
+  if capacity < 1 then invalid_arg "Trace.create: capacity must be positive";
+  let n = Int.min capacity 1024 in
+  {
+    capacity;
+    times = Float.Array.make n 0.0;
+    nodes = Array.make n 0;
+    datas = Array.make n filler;
+    next_seq = 0;
+    subscribers = [];
+  }
 
 let install t = current := Some t
 let uninstall () = current := None
@@ -78,26 +98,49 @@ let on () = !current <> None
 
 let subscribe t f = t.subscribers <- f :: t.subscribers
 
+let grow t =
+  let len = Array.length t.nodes in
+  let n = Int.min t.capacity (2 * len) in
+  let times = Float.Array.make n 0.0 in
+  Float.Array.blit t.times 0 times 0 len;
+  let nodes = Array.make n 0 in
+  Array.blit t.nodes 0 nodes 0 len;
+  let datas = Array.make n filler in
+  Array.blit t.datas 0 datas 0 len;
+  t.times <- times;
+  t.nodes <- nodes;
+  t.datas <- datas
+
 let emit ~time ~node data =
   match !current with
   | None -> ()
   | Some t ->
-    let ev = { seq = t.next_seq; time; node; data } in
-    t.next_seq <- t.next_seq + 1;
-    t.ring.(ev.seq mod t.capacity) <- Some ev;
-    List.iter (fun f -> f ev) t.subscribers
+    let seq = t.next_seq in
+    if seq = Array.length t.nodes && seq < t.capacity then grow t;
+    let i = seq mod t.capacity in
+    Float.Array.set t.times i time;
+    t.nodes.(i) <- node;
+    t.datas.(i) <- data;
+    t.next_seq <- seq + 1;
+    match t.subscribers with
+    | [] -> ()
+    | subs ->
+      let ev = { seq; time; node; data } in
+      List.iter (fun f -> f ev) subs
 
 let seen t = t.next_seq
 
+(* Rebuilds the record of a retained [seq]. *)
+let get t seq =
+  let i = seq mod t.capacity in
+  { seq; time = Float.Array.get t.times i; node = t.nodes.(i); data = t.datas.(i) }
+
+let first_retained t = Int.max 0 (t.next_seq - t.capacity)
+
 let events t =
-  (* Oldest-first reconstruction of the retained window. *)
-  let n = t.next_seq in
-  let first = if n > t.capacity then n - t.capacity else 0 in
   let out = ref [] in
-  for seq = n - 1 downto first do
-    match t.ring.(seq mod t.capacity) with
-    | Some ev when ev.seq = seq -> out := ev :: !out
-    | Some _ | None -> ()
+  for seq = t.next_seq - 1 downto first_retained t do
+    out := get t seq :: !out
   done;
   !out
 
@@ -206,8 +249,7 @@ let to_json ev =
     tag (String.concat "" extra)
 
 let dump_jsonl t oc =
-  List.iter
-    (fun ev ->
-      output_string oc (to_json ev);
-      output_char oc '\n')
-    (events t)
+  for seq = first_retained t to t.next_seq - 1 do
+    output_string oc (to_json (get t seq));
+    output_char oc '\n'
+  done

@@ -96,7 +96,13 @@ type t
 
 val create : ?capacity:int -> unit -> t
 (** Ring buffer retaining the last [capacity] (default 65536) events.
-    [seen] keeps counting past wrap-around. *)
+    [seen] keeps counting past wrap-around. The window is stored
+    column-wise (times, nodes, payloads; [seq] is implicit), starting at
+    [min capacity 1024] slots and doubling up to [capacity], so a short
+    run never pays for a large ring. [event] records are rebuilt on
+    demand by {!events} and {!dump_jsonl}; {!emit} allocates one only to
+    hand it to subscribers.
+    @raise Invalid_argument if [capacity < 1]. *)
 
 val install : t -> unit
 (** Make [t] the process-global sink. *)

@@ -1,6 +1,6 @@
 (* Tests for the crypto substrate: SHA-256 / HMAC against published
-   vectors, cipher and onion round-trips, simulated signatures and
-   certificates, wire-size accounting. *)
+   vectors, cipher and onion round-trips and known answers, simulated
+   signatures and certificates, wire-size accounting. *)
 
 open Octo_crypto
 module Rng = Octo_sim.Rng
@@ -33,6 +33,12 @@ let test_sha256_55_56_bytes () =
   let d56 = Sha256.hex (Sha256.digest_string (String.make 56 'a')) in
   let d64 = Sha256.hex (Sha256.digest_string (String.make 64 'a')) in
   Alcotest.(check bool) "distinct digests" true (d55 <> d56 && d56 <> d64)
+
+let test_sha256_hex_all_bytes () =
+  let all = Bytes.init 256 Char.chr in
+  let expected = String.concat "" (List.init 256 (Printf.sprintf "%02x")) in
+  Alcotest.(check string) "every byte value" expected (Sha256.hex all);
+  Alcotest.(check string) "empty" "" (Sha256.hex Bytes.empty)
 
 let prop_sha256_incremental =
   QCheck.Test.make ~name:"incremental update = one-shot" ~count:200
@@ -99,6 +105,51 @@ let prop_cipher_roundtrip =
       let nonce = Bytes.make Cipher.nonce_size 'n' in
       let ct = Cipher.encrypt ~key ~nonce plain in
       Bytes.equal plain (Cipher.decrypt ~key ~nonce ct))
+
+(* Known answers pin the keystream bytes, so a faster keystream that
+   changed the ciphertext fails here rather than only in a round trip.
+   The literals were recorded from the byte-at-a-time HMAC construction;
+   the model check recomputes each 32-byte block as
+   HMAC(key, nonce ‖ be64 counter). *)
+let kat_key = Bytes.init Cipher.key_size (fun i -> Char.chr (0x10 + i))
+let kat_nonce = Bytes.init Cipher.nonce_size (fun i -> Char.chr (0xa0 + i))
+let kat_plain len = Bytes.init len (fun i -> Char.chr (((i * 37) + 5) land 0xFF))
+
+let cipher_kat_80 =
+  "36db54bc297468301d247f4e80052499af08163602ae114eb535b774a590dee1"
+  ^ "844a3d3815e06b46fbeb9c6a3b9ee1fb530c0328a49b8cd3d827bd92d8827d75"
+  ^ "99c748f81f2a1475155899f3e0b8af4f"
+
+let model_encrypt ~key ~nonce plain =
+  Bytes.mapi
+    (fun i c ->
+      let msg = Bytes.create (Cipher.nonce_size + 8) in
+      Bytes.blit nonce 0 msg 0 Cipher.nonce_size;
+      Bytes.set_int64_be msg Cipher.nonce_size (Int64.of_int (i / 32));
+      let block = Hmac.mac ~key msg in
+      Char.chr (Char.code c lxor Char.code (Bytes.get block (i mod 32))))
+    plain
+
+let test_cipher_known_answers () =
+  List.iter
+    (fun len ->
+      let plain = kat_plain len in
+      let ct = Cipher.encrypt ~key:kat_key ~nonce:kat_nonce plain in
+      let name = Printf.sprintf "length %d" len in
+      Alcotest.(check string) (name ^ " literal") (String.sub cipher_kat_80 0 (2 * len))
+        (Sha256.hex ct);
+      Alcotest.(check string) (name ^ " hmac model")
+        (Sha256.hex (model_encrypt ~key:kat_key ~nonce:kat_nonce plain))
+        (Sha256.hex ct))
+    [ 1; 32; 33; 80 ]
+
+let prop_cipher_matches_model =
+  QCheck.Test.make ~name:"ctr keystream = HMAC(key, nonce || be64 counter)" ~count:100
+    QCheck.(triple (string_of_size (Gen.return 16)) (string_of_size (Gen.return 16)) string)
+    (fun (key, nonce, plain) ->
+      let key = Bytes.of_string key and nonce = Bytes.of_string nonce in
+      let plain = Bytes.of_string plain in
+      Bytes.equal (Cipher.encrypt ~key ~nonce plain) (model_encrypt ~key ~nonce plain))
 
 let test_cipher_length () =
   let key = Bytes.make Cipher.key_size 'k' and nonce = Bytes.make Cipher.nonce_size 'n' in
@@ -252,6 +303,15 @@ let test_onion_unlinkable () =
   let w2 = Onion.wrap ~rng ~keys:[ key ] payload in
   Alcotest.(check bool) "fresh nonces" false (Bytes.equal w1 w2)
 
+let test_onion_known_answer () =
+  let rng = Rng.create ~seed:42 in
+  let keys = List.init 3 (fun _ -> Onion.gen_key rng) in
+  let wrapped = Onion.wrap ~rng ~keys (Bytes.of_string "octopus query") in
+  Alcotest.(check string) "three-layer capsule"
+    ("7139100c343bb5ae6589af7398db694acdc21e76b8ba8b8599e4e66bf2178404"
+    ^ "1c4bd00388d548b10fc41efa6817a7b5c7b507ad85fbf9911c851b7b2c")
+    (Sha256.hex wrapped)
+
 let prop_onion_roundtrip =
   QCheck.Test.make ~name:"wrap then peel layer-by-layer = id" ~count:200
     QCheck.(triple small_int (int_range 0 8) bytes_gen)
@@ -370,6 +430,7 @@ let () =
           Alcotest.test_case "two-block" `Quick test_sha256_448bits;
           Alcotest.test_case "million a" `Slow test_sha256_million_a;
           Alcotest.test_case "padding boundary" `Quick test_sha256_55_56_bytes;
+          Alcotest.test_case "hex all bytes" `Quick test_sha256_hex_all_bytes;
         ]
         @ qsuite [ prop_sha256_incremental; prop_sha256_distinct ] );
       ( "hmac",
@@ -384,8 +445,9 @@ let () =
           Alcotest.test_case "length preserved" `Quick test_cipher_length;
           Alcotest.test_case "nonce matters" `Quick test_cipher_nonce_matters;
           Alcotest.test_case "key matters" `Quick test_cipher_key_matters;
+          Alcotest.test_case "known answers" `Quick test_cipher_known_answers;
         ]
-        @ qsuite [ prop_cipher_roundtrip ] );
+        @ qsuite [ prop_cipher_roundtrip; prop_cipher_matches_model ] );
       ( "keys",
         [
           Alcotest.test_case "sign/verify" `Quick test_keys_sign_verify;
@@ -407,6 +469,7 @@ let () =
           Alcotest.test_case "reply layering" `Quick test_onion_reply_layering;
           Alcotest.test_case "too short" `Quick test_onion_too_short;
           Alcotest.test_case "unlinkable" `Quick test_onion_unlinkable;
+          Alcotest.test_case "known answer" `Quick test_onion_known_answer;
         ]
         @ qsuite
             [ prop_onion_roundtrip; prop_onion_peel_all_roundtrip; prop_onion_size_linear ] );

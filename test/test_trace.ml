@@ -40,6 +40,76 @@ let test_ring_retention () =
         [ 12; 13; 14; 15; 16; 17; 18; 19 ]
         (List.map (fun (e : Trace.event) -> e.Trace.seq) evs))
 
+(* The ring grows its columns from [min capacity 1024] slots up to
+   [capacity] before the first wrap; the window must be the last
+   [capacity] emissions, with contiguous [seq]s and the emitted fields,
+   on both sides of every growth step and of the wrap. *)
+let ring_payload i =
+  if i mod 3 = 0 then Trace.Net_send { src = i; dst = i + 1; size = i * 2 }
+  else Trace.Circuit_relay { relay = i }
+
+let check_window t ~capacity ~emitted =
+  let evs = Trace.events t in
+  let first = max 0 (emitted - capacity) in
+  Alcotest.(check int) "seen" emitted (Trace.seen t);
+  Alcotest.(check int) "retained" (emitted - first) (List.length evs);
+  List.iteri
+    (fun k (ev : Trace.event) ->
+      let i = first + k in
+      if
+        ev.Trace.seq <> i
+        || ev.Trace.node <> i
+        || ev.Trace.time <> float_of_int i *. 0.25
+        || ev.Trace.data <> ring_payload i
+      then
+        Alcotest.failf "capacity %d after %d emissions: slot %d holds %s" capacity emitted k
+          (Trace.to_json ev))
+    evs
+
+let test_ring_growth_and_wrap () =
+  List.iter
+    (fun capacity ->
+      with_trace ~capacity (fun t ->
+          let total = capacity * 5 / 2 in
+          let checkpoints =
+            [ 1; capacity - 1; capacity; capacity + 1; 1023; 1024; 1025; 2048; 2049;
+              2 * capacity; total ]
+          in
+          for i = 0 to total - 1 do
+            Trace.emit ~time:(float_of_int i *. 0.25) ~node:i (ring_payload i);
+            if List.mem (i + 1) checkpoints then check_window t ~capacity ~emitted:(i + 1)
+          done))
+    [ 1; 7; 1024; 1025; 3000 ]
+
+let test_create_rejects_empty_ring () =
+  Alcotest.check_raises "capacity 0"
+    (Invalid_argument "Trace.create: capacity must be positive") (fun () ->
+      ignore (Trace.create ~capacity:0 ()))
+
+(* [dump_jsonl] rebuilds records from the columns; it must print exactly
+   the records subscribers saw, for a window that wrapped. *)
+let test_dump_matches_subscriber () =
+  let capacity = 1500 in
+  with_trace ~capacity (fun t ->
+      let seen = Queue.create () in
+      Trace.subscribe t (fun ev -> Queue.add (Trace.to_json ev) seen);
+      for i = 0 to 3999 do
+        Trace.emit ~time:(float_of_int i /. 3.0) ~node:(i mod 17) (ring_payload i)
+      done;
+      let expected =
+        List.filteri (fun i _ -> i >= 4000 - capacity) (List.of_seq (Queue.to_seq seen))
+        |> List.map (fun line -> line ^ "\n")
+        |> String.concat ""
+      in
+      let path = Filename.temp_file "trace" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc -> Trace.dump_jsonl t oc);
+          let dumped = In_channel.with_open_bin path In_channel.input_all in
+          Alcotest.(check int) "dump length" (String.length expected) (String.length dumped);
+          Alcotest.(check bool) "dump = subscriber records" true (String.equal expected dumped)))
+
 let test_subscribe () =
   with_trace (fun t ->
       let got = ref [] in
@@ -297,6 +367,9 @@ let () =
           Alcotest.test_case "disabled by default" `Quick test_disabled_by_default;
           Alcotest.test_case "install/uninstall" `Quick test_install_uninstall;
           Alcotest.test_case "ring retention" `Quick test_ring_retention;
+          Alcotest.test_case "ring growth and wrap" `Quick test_ring_growth_and_wrap;
+          Alcotest.test_case "zero capacity rejected" `Quick test_create_rejects_empty_ring;
+          Alcotest.test_case "dump = subscriber records" `Quick test_dump_matches_subscriber;
           Alcotest.test_case "subscribe" `Quick test_subscribe;
           Alcotest.test_case "json shape" `Quick test_json_shape;
           Alcotest.test_case "engine sched event" `Quick test_engine_emits_sched;
