@@ -92,7 +92,7 @@ let kernels =
              let from = Octo_anonymity.Ring_model.random_rank m in
              let key = Octo_anonymity.Ring_model.random_key m in
              let path = Octo_anonymity.Ring_model.lookup_path m ~from ~key in
-             ignore (Octo_anonymity.Range_attack.estimate m path)));
+             ignore Octo_anonymity.Range_attack.(estimate (replay m path))));
       (* Table 3 / Fig 7a: one plain Chord lookup on the event simulator. *)
       Test.make ~name:"table3/chord-lookup"
         (Staged.stage (fun () ->

@@ -67,7 +67,7 @@ let nisan_range_entropy model ~trials =
     let key = Ring_model.random_key model in
     let path = Ring_model.lookup_path model ~from ~key in
     let observed = List.filter (fun _ -> Rng.coin rng f) path in
-    match Range_attack.estimate model observed with
+    match Range_attack.(estimate (replay model observed)) with
     | Some (_, size) when observed <> [] ->
       total := !total +. log2 (float_of_int (max 1 size));
       incr count

@@ -1,5 +1,4 @@
 module Rng = Octo_sim.Rng
-module Tbl = Octo_sim.Tbl
 
 type params = {
   alpha : float;
@@ -36,6 +35,14 @@ let entropy_of_weights weights =
           acc -. (p *. log2 p)
         end)
       0.0 weights
+
+(* How many of [k] coins with bias [p] come up heads, drawn in order. *)
+let count_heads rng ~p k =
+  let heads = ref 0 in
+  for _ = 1 to k do
+    if Rng.coin rng p then incr heads
+  done;
+  !heads
 
 (* One simulated query of a lookup: its queried rank, whether it is a
    dummy, and the compromise draws of its private path legs. *)
@@ -127,7 +134,7 @@ let initiator model ?(params = default_params) () =
   let n = Ring_model.n model in
   let rng = Rng.split (Ring_model.rng model) in
   let p_link = f *. (1.0 -. ((1.0 -. f) ** 2.0)) in
-  let presim = Presim.build model ~samples:params.presim_samples ~p_link ~num_dummies:params.num_dummies () in
+  let presim = Presim.build model ~samples:params.presim_samples ~p_link () in
   let ideal = log2 ((1.0 -. f) *. float_of_int n) in
   let n_concurrent = max 1 (int_of_float (params.alpha *. float_of_int n)) in
   let p_iobs = 1.0 -. ((1.0 -. f) ** 2.0) in
@@ -148,11 +155,7 @@ let initiator model ?(params = default_params) () =
         if r_l_t = [] then begin
           (* Eq (5): no linkable non-dummy query. *)
           if Rng.coin rng p_iobs then begin
-            let observed_honest =
-              1
-              + Array.fold_left ( + ) 0
-                  (Array.init (n_concurrent - 1) (fun _ -> if Rng.coin rng p_iobs then 1 else 0))
-            in
+            let observed_honest = 1 + count_heads rng ~p:p_iobs (n_concurrent - 1) in
             log2 (float_of_int observed_honest)
           end
           else ideal
@@ -191,29 +194,60 @@ let initiator model ?(params = default_params) () =
 (* ------------------------------------------------------------------ *)
 (* H(T): Appendix III *)
 
-(* Entropy of a distribution given as (rank -> mass) plus a uniform
-   remainder spread over [spread] ranks with total mass [rest]. *)
-let entropy_mixture masses ~rest ~spread =
-  (* Rank-sorted traversal: float accumulation must not depend on bucket
-     order or the entropy figures wobble in the last bits across runs. *)
-  let total = Tbl.fold_sorted ~cmp:Int.compare (fun _ m acc -> acc +. m) masses 0.0 +. rest in
-  if total <= 0.0 then 0.0
-  else begin
-    let h = ref 0.0 in
-    Tbl.iter_sorted ~cmp:Int.compare
-      (fun _ m ->
-        if m > 0.0 then begin
-          let p = m /. total in
-          h := !h -. (p *. log2 p)
-        end)
-      masses;
-    if rest > 0.0 && spread > 0 then begin
-      let p_each = rest /. total /. float_of_int spread in
-      if p_each > 0.0 then
-        h := !h -. (rest /. total *. log2 p_each)
-    end;
-    !h
-  end
+(* A rank -> mass map over the whole ring, one per [target] call: dense
+   masses plus a stack of the ranks holding one, so reading and clearing
+   it cost only what was written. Every mass written is positive, so a
+   rank is pushed once, when its mass first leaves 0. *)
+type masses = { mass : Float.Array.t; touched : int array; mutable count : int }
+
+let masses_create n = { mass = Float.Array.make n 0.0; touched = Array.make n 0; count = 0 }
+
+let set_mass ms rank v =
+  if Float.Array.get ms.mass rank = 0.0 && v <> 0.0 then begin
+    ms.touched.(ms.count) <- rank;
+    ms.count <- ms.count + 1
+  end;
+  Float.Array.set ms.mass rank v
+
+let add_mass ms rank v = set_mass ms rank (Float.Array.get ms.mass rank +. v)
+
+let scale_masses ms k =
+  for i = 0 to ms.count - 1 do
+    let r = ms.touched.(i) in
+    Float.Array.set ms.mass r (Float.Array.get ms.mass r *. k)
+  done
+
+(* Entropy of the distribution [ms] plus a uniform remainder spread over
+   [spread] ranks with total mass [rest]; leaves [ms] empty. *)
+let entropy_mixture ms ~rest ~spread =
+  (* Rank-sorted traversal: the float sums must not depend on the order
+     masses were written in. *)
+  let ranks = Array.sub ms.touched 0 ms.count in
+  Array.sort Int.compare ranks;
+  let total = Array.fold_left (fun acc r -> acc +. Float.Array.get ms.mass r) 0.0 ranks +. rest in
+  let h =
+    if total <= 0.0 then 0.0
+    else begin
+      let h = ref 0.0 in
+      Array.iter
+        (fun r ->
+          let m = Float.Array.get ms.mass r in
+          if m > 0.0 then begin
+            let p = m /. total in
+            h := !h -. (p *. log2 p)
+          end)
+        ranks;
+      if rest > 0.0 && spread > 0 then begin
+        let p_each = rest /. total /. float_of_int spread in
+        if p_each > 0.0 then
+          h := !h -. (rest /. total *. log2 p_each)
+      end;
+      !h
+    end
+  in
+  Array.iter (fun r -> Float.Array.set ms.mass r 0.0) ranks;
+  ms.count <- 0;
+  h
 
 (* All non-empty subsets of a (bounded) query list that pass the
    Appendix III filter; each with its chi weight and estimated range. *)
@@ -228,12 +262,13 @@ let filtered_subsets model presim queries =
       if mask land (1 lsl i) <> 0 then subset := qs.(i) :: !subset
     done;
     let ranks = List.map (fun q -> q.rank) !subset in
-    if Range_attack.passes_filter model ranks then begin
-      match Range_attack.estimate model ranks with
+    let replay = Range_attack.replay model ranks in
+    if Range_attack.passes_filter replay then begin
+      match Range_attack.estimate replay with
       | Some (lo, size) ->
         let weight =
           Presim.chi presim ~count:(List.length ranks)
-            ~largest_hop:(Range_attack.largest_hop model ranks)
+            ~largest_hop:(Range_attack.largest_hop replay)
         in
         out := (weight, lo, size) :: !out
       | None -> ()
@@ -241,8 +276,8 @@ let filtered_subsets model presim queries =
   done;
   !out
 
-let range_distribution model presim subsets =
-  let masses : (int, float) Hashtbl.t = Hashtbl.create 256 in
+(* Adds the subsets' target-location distribution into [ms]. *)
+let range_distribution ms model presim subsets =
   let total_w = List.fold_left (fun acc (w, _, _) -> acc +. w) 0.0 subsets in
   if total_w > 0.0 then
     List.iter
@@ -251,19 +286,17 @@ let range_distribution model presim subsets =
         let size = min size 4096 in
         for i = 1 to size do
           let rank = (lo + i) mod Ring_model.n model in
-          let g = Presim.gamma presim ~loc:i ~size in
-          let cur = Option.value ~default:0.0 (Hashtbl.find_opt masses rank) in
-          Hashtbl.replace masses rank (cur +. (p_s *. g))
+          add_mass ms rank (p_s *. Presim.gamma presim ~loc:i ~size)
         done)
-      subsets;
-  masses
+      subsets
 
 let target model ?(params = default_params) () =
   let f = Ring_model.f model in
   let n = Ring_model.n model in
   let rng = Rng.split (Ring_model.rng model) in
   let p_link = f *. (1.0 -. ((1.0 -. f) ** 2.0)) in
-  let presim = Presim.build model ~samples:params.presim_samples ~p_link ~num_dummies:params.num_dummies () in
+  let presim = Presim.build model ~samples:params.presim_samples ~p_link () in
+  let ms = masses_create n in
   let ideal = log2 ((1.0 -. f) *. float_of_int n) in
   let h_max = log2 (float_of_int n) in
   let n_concurrent = max 1 (int_of_float (params.alpha *. float_of_int n)) in
@@ -295,7 +328,10 @@ let target model ?(params = default_params) () =
           else begin
             let subsets = filtered_subsets model presim linkable in
             if subsets = [] then h_m ()
-            else entropy_mixture (range_distribution model presim subsets) ~rest:0.0 ~spread:0
+            else begin
+              range_distribution ms model presim subsets;
+              entropy_mixture ms ~rest:0.0 ~spread:0
+            end
           end
         end
         else begin
@@ -307,21 +343,16 @@ let target model ?(params = default_params) () =
             let r_b = List.filter (fun q -> not q.dummy) b_linked in
             if r_b = [] then h_m ()
             else begin
-              let m =
-                1
-                + Array.fold_left ( + ) 0
-                    (Array.init (n_concurrent - 1) (fun _ ->
-                         if Rng.coin rng p_lookup_blink then 1 else 0))
-              in
+              let m = 1 + count_heads rng ~p:p_lookup_blink (n_concurrent - 1) in
               let subsets = filtered_subsets model presim b_linked in
-              let own = range_distribution model presim subsets in
+              range_distribution ms model presim subsets;
               (* ψI is one of m candidates; the others spread their mass
                  over unrelated ranges (~150 ranks each). *)
               let own_weight = 1.0 /. float_of_int m in
-              Hashtbl.filter_map_inplace (fun _ v -> Some (v *. own_weight)) own;
+              scale_masses ms own_weight;
               let rest = 1.0 -. own_weight in
               let spread = max 1 ((m - 1) * 150) in
-              let h' = entropy_mixture own ~rest ~spread in
+              let h' = entropy_mixture ms ~rest ~spread in
               (f *. log2 (float_of_int (max 1 (int_of_float (float_of_int n_concurrent *. f)))))
               +. ((1.0 -. f) *. h')
             end
@@ -341,7 +372,6 @@ let target model ?(params = default_params) () =
               in
               (* Each observed query is equally likely to be E_I; the true
                  one gives a successor-span range. *)
-              let own = Hashtbl.create 64 in
               let span = 64 in
               let e_i =
                 List.fold_left
@@ -363,12 +393,12 @@ let target model ?(params = default_params) () =
                 for i = 1 to span do
                   let rank = (lo_rank + i) mod n in
                   let g = Presim.gamma presim ~loc:i ~size:span in
-                  Hashtbl.replace own rank (w *. g)
+                  set_mass ms rank (w *. g)
                 done
               | None -> ());
               let rest = 1.0 -. (1.0 /. float_of_int total_observed) in
               let spread = max 1 ((total_observed - 1) * span) in
-              let h' = entropy_mixture own ~rest ~spread in
+              let h' = entropy_mixture ms ~rest ~spread in
               (f *. log2 (float_of_int (max 1 (int_of_float (float_of_int n_concurrent *. f)))))
               +. ((1.0 -. f) *. h')
             end

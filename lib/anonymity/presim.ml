@@ -20,7 +20,7 @@ let normalize arr =
   let total = Array.fold_left ( +. ) 0.0 arr in
   if total > 0.0 then Array.iteri (fun i v -> arr.(i) <- v /. total) arr
 
-let build model ?(samples = 3000) ~p_link ~num_dummies:_ () =
+let build model ?(samples = 3000) ~p_link () =
   let rng = Rng.split (Ring_model.rng model) in
   let xi_hist = Array.make 42 0.0 in
   let gamma_hist = Array.init 31 (fun _ -> Array.make loc_cells 0.0) in
@@ -45,11 +45,12 @@ let build model ?(samples = 3000) ~p_link ~num_dummies:_ () =
       xi_hist.(dist_bucket dmin) <- xi_hist.(dist_bucket dmin) +. 1.0;
       (* chi: joint stats of the true linkable set. *)
       let count = min 16 (List.length linkable) in
-      let hop = Range_attack.largest_hop model linkable in
+      let replay = Range_attack.replay model linkable in
+      let hop = Range_attack.largest_hop replay in
       chi_hist.(count).(hop_bucket hop) <- chi_hist.(count).(hop_bucket hop) +. 1.0;
       (* gamma: where the target falls in the range estimated from the
          true linkable set. *)
-      (match Range_attack.estimate model linkable with
+      (match Range_attack.estimate replay with
       | Some (lo, size) ->
         let loc = Ring_model.rank_distance_cw model lo target in
         if loc >= 1 && loc <= size then begin

@@ -10,8 +10,7 @@
 
 type t
 
-val build :
-  Ring_model.t -> ?samples:int -> p_link:float -> num_dummies:int -> unit -> t
+val build : Ring_model.t -> ?samples:int -> p_link:float -> unit -> t
 
 val xi : t -> int -> float
 (** [xi t d]: probability that the minimum rank distance from linkable

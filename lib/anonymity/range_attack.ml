@@ -1,10 +1,27 @@
 module Id = Octo_chord.Id
 
-let virtual_path model ~first ~last =
-  let key = Ring_model.id_of model last in
-  let path = Ring_model.lookup_path ~exclude_target:false model ~from:first ~key in
-  (* The replayed trajectory ends at (or just before) [last]. *)
-  if List.exists (fun r -> r = last) path then path else path @ [ last ]
+type replay = {
+  model : Ring_model.t;
+  subset : int list;
+  trajectory : int list Lazy.t;
+      (* [first] followed by the greedy lookup trajectory from the first
+         query towards the last one's id (the adversary's local replay),
+         ending at the last; only forced for subsets of two or more *)
+}
+
+let replay model subset =
+  let trajectory =
+    lazy
+      (match subset with
+      | [] -> []
+      | first :: _ ->
+        let last = List.nth subset (List.length subset - 1) in
+        let key = Ring_model.id_of model last in
+        let path = Ring_model.lookup_path ~exclude_target:false model ~from:first ~key in
+        (* The replayed trajectory ends at (or just before) [last]. *)
+        first :: (if List.exists (fun r -> r = last) path then path else path @ [ last ]))
+  in
+  { model; subset; trajectory }
 
 let monotone model = function
   | [] | [ _ ] -> true
@@ -18,34 +35,29 @@ let monotone model = function
     in
     ok first rest
 
-let passes_filter model subset =
-  match subset with
+let passes_filter r =
+  match r.subset with
   | [] | [ _ ] -> true
-  | first :: _ ->
-    monotone model subset
+  | subset ->
+    monotone r.model subset
     &&
-    let last = List.nth subset (List.length subset - 1) in
-    let path = virtual_path model ~first ~last in
-    List.for_all
-      (fun r -> r = first || List.mem r path)
-      subset
+    let path = Lazy.force r.trajectory in
+    List.for_all (fun q -> List.mem q path) subset
 
-let largest_hop model subset =
-  match subset with
+let largest_hop r =
+  match r.subset with
   | [] | [ _ ] -> 0
-  | first :: _ ->
-    let last = List.nth subset (List.length subset - 1) in
-    let path = first :: virtual_path model ~first ~last in
-    let space = Ring_model.space model in
+  | _ ->
+    let space = Ring_model.space r.model in
     let rec max_gap prev acc = function
       | [] -> acc
-      | r :: tl ->
+      | q :: tl ->
         let gap =
-          Id.distance_cw space (Ring_model.id_of model prev) (Ring_model.id_of model r)
+          Id.distance_cw space (Ring_model.id_of r.model prev) (Ring_model.id_of r.model q)
         in
-        max_gap r (Int.max acc gap) tl
+        max_gap q (Int.max acc gap) tl
     in
-    (match path with [] -> 0 | p :: tl -> max_gap p 0 tl)
+    (match Lazy.force r.trajectory with [] -> 0 | p :: tl -> max_gap p 0 tl)
 
 (* Upper bound via the finger-overshoot argument: walking the virtual
    lookup, each hop E_k -> E_k+1 used some finger index p of E_k; the
@@ -82,19 +94,18 @@ let upper_bound model ~lo path =
   in
   tighten None path
 
-let estimate model subset =
-  match subset with
+let estimate r =
+  let model = r.model in
+  match r.subset with
   | [] -> None
   | [ only ] ->
     (* One observation: the target follows it, somewhere within the
        query-density horizon; use a successor span as the paper does. *)
     Some (only, Ring_model.n model / 64)
-  | first :: _ ->
-    let last = List.nth subset (List.length subset - 1) in
-    let path = first :: virtual_path model ~first ~last in
-    let lo = last in
+  | subset ->
+    let lo = List.nth subset (List.length subset - 1) in
     let size =
-      match upper_bound model ~lo path with
+      match upper_bound model ~lo (Lazy.force r.trajectory) with
       | Some ub ->
         let d = Ring_model.rank_distance_cw model lo ub in
         if d = 0 then 1 else d

@@ -8,21 +8,25 @@
     (E{_k}, E{_k+1}) reveals that the finger of E{_k} one index above the
     one reaching E{_k+1} must overshoot the target. *)
 
-val virtual_path : Ring_model.t -> first:int -> last:int -> int list
-(** The greedy lookup trajectory from rank [first] towards rank [last]'s
-    id (the adversary's local replay), including [last]. *)
+type replay
+(** A subset of observed queried ranks, in query order, with its virtual
+    lookup: the greedy trajectory from the first query towards the last
+    one's id. The trajectory is replayed at most once, and only when a
+    statistic below needs it. *)
 
-val passes_filter : Ring_model.t -> int list -> bool
+val replay : Ring_model.t -> int list -> replay
+
+val passes_filter : replay -> bool
 (** Appendix III's subset filter: queries must be clockwise-monotone in
     query order and interior ones must lie on the virtual lookup from the
     first to the last (subsets violating this contain dummies). *)
 
-val largest_hop : Ring_model.t -> int list -> int
+val largest_hop : replay -> int
 (** The largest id-distance between consecutive queried nodes on the
     virtual lookup — the V(s) statistic weighting subset plausibility. *)
 
-val estimate : Ring_model.t -> int list -> (int * int) option
-(** [estimate model subset] returns [(lo_rank, size)]: the target lies in
-    the [size] ranks starting at [lo_rank + 1]. [None] if the subset is
-    empty. Single-query subsets fall back to the whole successor span of
-    the query (the paper's one-observation case). *)
+val estimate : replay -> (int * int) option
+(** [estimate r] returns [(lo_rank, size)]: the target lies in the [size]
+    ranks starting at [lo_rank + 1]. [None] if the subset is empty.
+    Single-query subsets fall back to the whole successor span of the
+    query (the paper's one-observation case). *)

@@ -7,27 +7,21 @@ let compare a b =
   if c <> 0 then c else Int.compare a.addr b.addr
 let pp fmt t = Format.fprintf fmt "#%d@%d" t.id t.addr
 
-let dedupe_by_id peers =
-  (* octolint: allow compact-node-state — transient dedupe set local to
-     this call, not resident node state *)
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun p ->
-      if Hashtbl.mem seen p.id then false
-      else begin
-        Hashtbl.add seen p.id ();
-        true
-      end)
-    peers
+(* Keeps the first peer of each run of equal ids. After a stable sort by
+   distance from a point, equal ids are adjacent and in input order. *)
+let rec dedupe_adjacent = function
+  | a :: b :: rest when a.id = b.id -> dedupe_adjacent (a :: rest)
+  | a :: rest -> a :: dedupe_adjacent rest
+  | [] -> []
 
 let sort_cw space ~from peers =
-  dedupe_by_id
-    (List.sort
+  dedupe_adjacent
+    (List.stable_sort
        (fun a b -> Int.compare (Id.distance_cw space from a.id) (Id.distance_cw space from b.id))
        peers)
 
 let sort_ccw space ~from peers =
-  dedupe_by_id
-    (List.sort
+  dedupe_adjacent
+    (List.stable_sort
        (fun a b -> Int.compare (Id.distance_cw space a.id from) (Id.distance_cw space b.id from))
        peers)

@@ -10,7 +10,9 @@ val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
 val sort_cw : Id.space -> from:int -> t list -> t list
-(** Sort by clockwise distance from [from], dropping duplicates (by id). *)
+(** Sort by clockwise distance from [from], keeping only the first peer
+    (in input order) of each id. *)
 
 val sort_ccw : Id.space -> from:int -> t list -> t list
-(** Sort by counter-clockwise distance from [from], dropping duplicates. *)
+(** Sort by counter-clockwise distance from [from], keeping only the first
+    peer (in input order) of each id. *)

@@ -55,7 +55,11 @@ let reset ctx =
   ctx.buf_len <- 0;
   ctx.total <- 0
 
-let[@inline always] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
+(* [dbl x] is the 32-bit word [x] written twice, [x] in the low half and
+   [x lsl 32] above it, so bits [n .. n + 31] of [dbl x] are [x] rotated
+   right by [n]: one shift per rotation, and one mask per Σ/σ. The 63-bit
+   int drops the top copy's bit 31, which only a rotation by 32 would read. *)
+let[@inline always] dbl x = x lor (x lsl 32)
 
 (* One compression of chain state [h] over the message schedule [w], whose
    first 16 words hold the block. *)
@@ -63,8 +67,9 @@ let compress_words h w =
   if Array.length h < 8 || Array.length w < 64 then invalid_arg "Sha256.compress_words";
   for i = 16 to 63 do
     let w15 = Array.unsafe_get w (i - 15) and w2 = Array.unsafe_get w (i - 2) in
-    let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
-    let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
+    let d15 = dbl w15 and d2 = dbl w2 in
+    let s0 = ((d15 lsr 7) lxor (d15 lsr 18) lxor (w15 lsr 3)) land mask32 in
+    let s1 = ((d2 lsr 17) lxor (d2 lsr 19) lxor (w2 lsr 10)) land mask32 in
     Array.unsafe_set w i
       ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask32)
   done;
@@ -77,14 +82,14 @@ let compress_words h w =
   and g = ref h.(6)
   and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g land mask32) in
-    let temp1 =
-      (!hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i) land mask32
-    in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let temp2 = (s0 + maj) land mask32 in
+    let de = dbl !e and da = dbl !a in
+    let s1 = ((de lsr 6) lxor (de lsr 11) lxor (de lsr 25)) land mask32 in
+    let ch = !g lxor (!e land (!f lxor !g)) in
+    (* Sums of at most five words stay far below 2^62: mask only what is
+       stored. *)
+    let temp1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
+    let s0 = ((da lsr 2) lxor (da lsr 13) lxor (da lsr 22)) land mask32 in
+    let maj = (!a land !b) lor (!c land (!a lor !b)) in
     hh := !g;
     g := !f;
     f := !e;
@@ -92,7 +97,7 @@ let compress_words h w =
     d := !c;
     c := !b;
     b := !a;
-    a := (temp1 + temp2) land mask32
+    a := (temp1 + s0 + maj) land mask32
   done;
   h.(0) <- (h.(0) + !a) land mask32;
   h.(1) <- (h.(1) + !b) land mask32;

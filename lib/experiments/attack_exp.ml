@@ -340,9 +340,10 @@ let run_churn_range { Regime.n; duration; seed; _ } =
             if Ring_model.id_of m r = p.Peer.id then Some r else None)
           queried
       in
-      if (match ranks with [] -> false | _ -> true) && Range_attack.passes_filter m ranks
+      let replay = Range_attack.replay m ranks in
+      if (match ranks with [] -> false | _ -> true) && Range_attack.passes_filter replay
       then begin
-        match Range_attack.estimate m ranks with
+        match Range_attack.estimate replay with
         | None -> ()
         | Some (lo, size) ->
           incr total;

@@ -75,6 +75,126 @@ let test_ring_malicious_rate () =
   let frac = float_of_int !count /. float_of_int (Ring_model.n m) in
   Alcotest.(check bool) (Printf.sprintf "f ~ 0.2 (%.3f)" frac) true (Float.abs (frac -. 0.2) < 0.03)
 
+(* The ring model against straightforward references: ids drawn by a
+   Hashtbl rejection loop, owners by a search that tracks its candidate in
+   an option, and every hop choosing among all fingers. *)
+module Oracle = struct
+  module Rng = Octo_sim.Rng
+
+  let create ~bits ~n ~f ~seed =
+    let space = Id.space ~bits in
+    let rng = Rng.create ~seed in
+    let used = Hashtbl.create (2 * n) in
+    let ids =
+      Array.init n (fun _ ->
+          let rec gen () =
+            let id = Id.random space rng in
+            if Hashtbl.mem used id then gen ()
+            else begin
+              Hashtbl.add used id ();
+              id
+            end
+          in
+          gen ())
+    in
+    Array.sort Int.compare ids;
+    let mal = Array.init n (fun _ -> Rng.coin rng f) in
+    (ids, mal)
+
+  let owner_rank ids ~key =
+    let lo = ref 0 and hi = ref (Array.length ids - 1) and res = ref None in
+    while !lo <= !hi do
+      let mid = (!lo + !hi) / 2 in
+      if ids.(mid) >= key then begin
+        res := Some mid;
+        hi := mid - 1
+      end
+      else lo := mid + 1
+    done;
+    match !res with Some r -> r | None -> 0
+
+  let lookup_path ~exclude_target ~space ~num_fingers ~list_size ids ~from ~key =
+    let n = Array.length ids in
+    let rank_distance a b = (b - a + n) mod n in
+    let target = owner_rank ids ~key in
+    let rec go current acc steps =
+      if steps > 64 then List.rev acc
+      else begin
+        let remaining = rank_distance current target in
+        if remaining = 0 || remaining <= list_size then List.rev acc
+        else begin
+          let dist_id = Id.distance_cw space ids.(current) ids.(target) in
+          let best = ref None in
+          for i = 0 to num_fingers - 1 do
+            let span = 1 lsl i in
+            if span < dist_id then begin
+              let fr = owner_rank ids ~key:(Id.add space ids.(current) span) in
+              let d = rank_distance fr target in
+              if fr <> current && d < remaining && ((not exclude_target) || d >= 1) then begin
+                match !best with
+                | Some (_, bd) when bd <= d -> ()
+                | _ -> best := Some (fr, d)
+              end
+            end
+          done;
+          match !best with
+          | None -> List.rev acc
+          | Some (next, _) -> go next (next :: acc) (steps + 1)
+        end
+      end
+    in
+    go from [] 0
+end
+
+(* Small rings, dense enough (n up to 0.9 * 2^bits) that ids collide while
+   they are drawn; finger counts above [bits] included. *)
+let ring_shape =
+  QCheck.make
+    ~print:(fun (bits, n, num_fingers, list_size, seed) ->
+      Printf.sprintf "bits=%d n=%d num_fingers=%d list_size=%d seed=%d" bits n num_fingers
+        list_size seed)
+    QCheck.Gen.(
+      int_range 6 16 >>= fun bits ->
+      int_range 1 (9 * (1 lsl bits) / 10) >>= fun n ->
+      int_range 1 (bits + 4) >>= fun num_fingers ->
+      int_range 0 6 >>= fun list_size ->
+      int_bound 1_000_000 >|= fun seed -> (bits, n, num_fingers, list_size, seed))
+
+let prop_ring_matches_oracle =
+  QCheck.Test.make ~name:"ring model = all-finger reference" ~count:100 ring_shape
+    (fun (bits, n, num_fingers, list_size, seed) ->
+      let f = 0.3 in
+      let m = Ring_model.create ~bits ~num_fingers ~list_size ~n ~f ~seed () in
+      let ids, mal = Oracle.create ~bits ~n ~f ~seed in
+      let space = Ring_model.space m in
+      Array.iteri
+        (fun r id ->
+          if Ring_model.id_of m r <> id || Ring_model.malicious m r <> mal.(r) then
+            QCheck.Test.fail_reportf "rank %d: id %d vs %d, malicious %b vs %b" r
+              (Ring_model.id_of m r) id (Ring_model.malicious m r) mal.(r))
+        ids;
+      let rng = Octo_sim.Rng.create ~seed:(seed + 1) in
+      for pair = 1 to 50 do
+        let from = Octo_sim.Rng.int rng n in
+        (* Half the keys are node ids, as in the adversary's replays. *)
+        let key =
+          if pair mod 2 = 0 then ids.(Octo_sim.Rng.int rng n) else Id.random space rng
+        in
+        if Ring_model.owner_rank m ~key <> Oracle.owner_rank ids ~key then
+          QCheck.Test.fail_reportf "owner of key %d" key;
+        List.iter
+          (fun exclude_target ->
+            let got = Ring_model.lookup_path ~exclude_target m ~from ~key in
+            let want =
+              Oracle.lookup_path ~exclude_target ~space ~num_fingers ~list_size ids ~from ~key
+            in
+            if got <> want then
+              QCheck.Test.fail_reportf "path from %d to key %d (exclude_target=%b)" from key
+                exclude_target)
+          [ true; false ]
+      done;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Range estimation *)
 
@@ -88,7 +208,7 @@ let test_range_contains_target () =
     let path = Ring_model.lookup_path m ~from ~key in
     if List.length path >= 2 then begin
       incr total;
-      match Range_attack.estimate m path with
+      match Range_attack.(estimate (replay m path)) with
       | Some (lo, size) ->
         let pos = Ring_model.rank_distance_cw m lo target in
         if pos >= 1 && pos <= size then incr hits
@@ -109,7 +229,7 @@ let test_range_full_path_passes_filter () =
     let key = Ring_model.random_key m in
     let path = Ring_model.lookup_path m ~from ~key in
     if path <> [] then
-      Alcotest.(check bool) "true trajectory passes" true (Range_attack.passes_filter m path)
+      Alcotest.(check bool) "true trajectory passes" true Range_attack.(passes_filter (replay m path))
   done
 
 let test_range_filter_rejects_shuffled () =
@@ -122,7 +242,7 @@ let test_range_filter_rejects_shuffled () =
     if List.length path >= 3 then begin
       incr total;
       (* Reversing the query order violates clockwise monotonicity. *)
-      if not (Range_attack.passes_filter m (List.rev path)) then incr rejected
+      if not Range_attack.(passes_filter (replay m (List.rev path))) then incr rejected
     end
   done;
   Alcotest.(check bool)
@@ -140,7 +260,7 @@ let test_range_narrows_with_more_queries () =
     match path with
     | _ :: _ :: _ -> (
       let pair = [ List.hd path; List.nth path (List.length path - 1) ] in
-      match (Range_attack.estimate m path, Range_attack.estimate m pair) with
+      match Range_attack.(estimate (replay m path), estimate (replay m pair)) with
       | Some (_, s_full), Some (_, s_pair) ->
         incr count;
         total_full := !total_full +. float_of_int s_full;
@@ -156,7 +276,7 @@ let test_range_narrows_with_more_queries () =
 
 let test_presim_normalized () =
   let m = Lazy.force model in
-  let p = Presim.build m ~samples:800 ~p_link:0.1 ~num_dummies:6 () in
+  let p = Presim.build m ~samples:800 ~p_link:0.1 () in
   Alcotest.(check bool) "xi positive" true (Presim.xi p 3 > 0.0);
   let near = Presim.xi p 4 +. Presim.xi p 64 in
   Alcotest.(check bool) "xi concentrated near the target" true
@@ -207,6 +327,29 @@ let test_dummies_improve_target_anonymity () =
   Alcotest.(check bool)
     (Printf.sprintf "dummies reduce H(T) leak (%.2f -> %.2f)" l0 l6)
     true (l6 <= l0 +. 0.1)
+
+(* Leaks recorded from the estimators before their fast paths (top-down
+   finger choice, dense rank masses, sort-based ring build) went in: the
+   rewrites must not move a single bit. *)
+let test_golden_leaks () =
+  List.iter
+    (fun (f, initiator, target, nisan_target) ->
+      let m = Ring_model.create ~n:5000 ~f ~seed:3 () in
+      let octo = { Octopus_anon.default_params with trials = 200 } in
+      let base = { Baseline_anon.default_params with trials = 200 } in
+      let check name want got =
+        Alcotest.(check string) (Printf.sprintf "%s f=%g" name f) (Printf.sprintf "%h" want)
+          (Printf.sprintf "%h" got)
+      in
+      (* One model per f, estimators in a fixed order: they share its rng. *)
+      check "initiator" initiator (Octopus_anon.initiator m ~params:octo ()).Octopus_anon.leak;
+      check "target" target (Octopus_anon.target m ~params:octo ()).Octopus_anon.leak;
+      check "nisan target" nisan_target
+        (Baseline_anon.nisan_target m ~params:base ()).Baseline_anon.leak)
+    [
+      (0.1, 0x1.00ee25f00fdcp-3, 0x1.9d5e852cce9p-4, 0x1.37baf51b182e4p+1);
+      (0.2, 0x1.4e0c8b2d67bap-1, 0x1.4d5ed47105a8p-2, 0x1.00287744cfabp+2);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Baseline models: the paper's orderings *)
@@ -284,6 +427,7 @@ let () =
           Alcotest.test_case "lookup path" `Quick test_ring_lookup_path_approaches_target;
           Alcotest.test_case "finger rank" `Quick test_ring_finger_rank;
           Alcotest.test_case "malicious rate" `Quick test_ring_malicious_rate;
+          QCheck_alcotest.to_alcotest prop_ring_matches_oracle;
         ] );
       ( "range-attack",
         [
@@ -299,6 +443,7 @@ let () =
           Alcotest.test_case "H(T) near ideal" `Slow test_octopus_target_near_ideal;
           Alcotest.test_case "leak grows with f" `Slow test_octopus_leak_grows_with_f;
           Alcotest.test_case "dummies help H(T)" `Slow test_dummies_improve_target_anonymity;
+          Alcotest.test_case "golden leaks" `Quick test_golden_leaks;
         ] );
       ( "orderings",
         [

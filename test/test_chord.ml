@@ -65,17 +65,24 @@ let prop_id_between_split =
 
 let peer id addr = Peer.make ~id ~addr
 
+let ids_addrs = List.map (fun p -> (p.Peer.id, p.Peer.addr))
+
+(* Of peers sharing an id, the sorts keep the first in input order. *)
 let test_peer_sort_cw () =
   let peers = [ peer 100 0; peer 50 1; peer 200 2; peer 50 3 ] in
-  let sorted = Peer.sort_cw space16 ~from:60 peers in
-  Alcotest.(check (list int)) "cw order, deduped by id" [ 100; 200; 50 ]
-    (List.map (fun p -> p.Peer.id) sorted)
+  Alcotest.(check (list (pair int int))) "cw order, deduped by id" [ (100, 0); (200, 2); (50, 1) ]
+    (ids_addrs (Peer.sort_cw space16 ~from:60 peers));
+  Alcotest.(check (list (pair int int))) "first duplicate of the reversed input"
+    [ (100, 0); (200, 2); (50, 3) ]
+    (ids_addrs (Peer.sort_cw space16 ~from:60 (List.rev peers)))
 
 let test_peer_sort_ccw () =
-  let peers = [ peer 100 0; peer 50 1; peer 200 2 ] in
-  let sorted = Peer.sort_ccw space16 ~from:60 peers in
-  Alcotest.(check (list int)) "ccw order" [ 50; 200; 100 ]
-    (List.map (fun p -> p.Peer.id) sorted)
+  let peers = [ peer 100 0; peer 50 1; peer 200 2; peer 100 3 ] in
+  Alcotest.(check (list (pair int int))) "ccw order, deduped by id" [ (50, 1); (200, 2); (100, 0) ]
+    (ids_addrs (Peer.sort_ccw space16 ~from:60 peers));
+  Alcotest.(check (list (pair int int))) "first duplicate of the reversed input"
+    [ (50, 1); (200, 2); (100, 3) ]
+    (ids_addrs (Peer.sort_ccw space16 ~from:60 (List.rev peers)))
 
 let make_rt ?(list_size = 3) owner_id =
   Rtable.create space16 ~owner:(peer owner_id 99) ~num_fingers:8 ~list_size
