@@ -32,13 +32,6 @@ let config t = t.cfg
 let rng t = t.rng
 let size t = Array.length t.nodes
 let node t addr = t.nodes.(addr)
-let peer_of t addr = t.nodes.(addr).peer
-
-let alive_addrs t =
-  Array.to_list t.nodes
-  |> List.filteri (fun _ n -> n.alive)
-  |> List.map (fun n -> n.peer.Peer.addr)
-
 let random_alive t rng =
   let n = Array.length t.nodes in
   let rec pick attempts =
@@ -237,6 +230,3 @@ let rpc t ~src ~dst ?timeout ~make ~on_timeout k =
   send t ~src ~dst (make rid)
 
 let set_extension t ext = t.extension <- Some ext
-
-let remove_peer_everywhere t ~addr =
-  Array.iter (fun node -> Rtable.remove node.rt ~addr) t.nodes

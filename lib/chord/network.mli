@@ -13,8 +13,6 @@ type config = {
   rpc_timeout : float;  (** seconds before a request is abandoned *)
 }
 
-val default_config : config
-
 type node = {
   mutable peer : Peer.t;
   mutable rt : Rtable.t;
@@ -36,8 +34,6 @@ val rng : t -> Octo_sim.Rng.t
 val size : t -> int
 
 val node : t -> int -> node
-val peer_of : t -> int -> Peer.t
-val alive_addrs : t -> int list
 val random_alive : t -> Octo_sim.Rng.t -> int
 
 val fresh_id : t -> Octo_sim.Rng.t -> int
@@ -72,6 +68,3 @@ val set_extension : t -> (Proto.msg Octo_sim.Net.envelope -> bool) -> unit
 (** Install a handler consulted for messages the core node logic does not
     handle itself (currently [Proxy_req], used by the Torsk baseline).
     Return [true] to consume the envelope. *)
-
-val remove_peer_everywhere : t -> addr:int -> unit
-(** Purge a dead peer from every routing table (test/bench helper). *)

@@ -5,6 +5,27 @@ module Series = Octo_sim.Metrics.Series
 module Cert = Octo_crypto.Cert
 module Trace = Octo_sim.Trace
 
+(* CA conviction threshold: certified nodes that must lie between an
+   ideal finger id and the reported finger. *)
+let interior_threshold = 2
+
+(* The CA's wait before re-fetching a suspect's neighborhood, and its
+   wait for witness statements in a DoS investigation. *)
+let recheck_delay = 8.0
+let evidence_delay = 7.0
+
+(* Slack past [query_deadline] before a DoS report is judged. *)
+let dos_slack = 6.0
+
+(* Max age gap between consecutive archived proofs. *)
+let proof_gap_slack = 16.0
+
+(* Freshness bounds on introduction proofs, finger-report evidence and
+   DoS evidence. *)
+let intro_max_age = 120.0
+let finger_max_age = 60.0
+let evidence_max_age = 30.0
+
 (* Per-source certificate-admission state: a token bucket plus the
    source's cumulative admission spend (every request costs one unit,
    granted or not — the accounting side of the Sybil cost curve). *)
@@ -150,8 +171,7 @@ let rec last = function [] -> None | [ x ] -> Some x | _ :: rest -> last rest
 (* Omission chains (lookup bias §4.3, pollution §4.5 / Figure 2b) *)
 
 let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
-  let cfg = w.World.cfg in
-  let grace = cfg.Config.pred_age_before_report in
+  let grace = Config.pred_age_before_report in
   let space = w.World.space in
   let debug fmt =
     if Sys.getenv_opt "OCTO_DEBUG" <> None then Printf.eprintf fmt
@@ -174,7 +194,7 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
        (* An era input must be from the stabilization rounds just before
           the claim; provenance documents are legitimately older. *)
        || World.now w -. proof.Types.l_time
-          <= World.now w -. time +. cfg.Config.ca_proof_gap_slack)
+          <= World.now w -. time +. proof_gap_slack)
   in
   let justify (owner : Peer.t) ~source ~provenance ~before handler =
     ca_rpc w ~dst:owner.Peer.addr
@@ -195,7 +215,7 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
      missing node, or its signer omitted an in-span node and is guilty). *)
   let rec chain ~(owner : Peer.t) ~peers ~time ~depth =
     let accused = World.node w owner.Peer.addr in
-    if depth > cfg.Config.max_chain_depth then k Nothing
+    if depth > Config.max_chain_depth then k Nothing
     else if accused.World.revoked then k (Convicted [ owner.Peer.addr ])
     else if not (Peer.equal accused.World.peer owner) then k Nothing
     else begin
@@ -270,7 +290,7 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
                            < Id.distance_cw space owner.Peer.id missing.Peer.id)
                          (first :: proof.Types.l_peers))
                   in
-                  if closer + 2 < cfg.Config.list_size then begin
+                  if closer + 2 < Config.list_size then begin
                     ca_rpc w ~dst:owner.Peer.addr
                       ~make:(fun rid ->
                         Types.List_req { rid; kind = Types.Succ_list; announce = None })
@@ -296,7 +316,7 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
                 else provenance_step ~owner ~about:first ~before:time ~depth:(depth + 1))
     end
   and provenance_step ~(owner : Peer.t) ~(about : Peer.t) ~before ~depth =
-    if depth > cfg.Config.max_chain_depth then k Nothing
+    if depth > Config.max_chain_depth then k Nothing
     else
       justify owner ~source:about ~provenance:true ~before (fun proof ->
           match proof with
@@ -340,7 +360,7 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
                             when zs.Types.l_kind = Types.Succ_list
                                  && World.verify_list w ~revoked_ok:true ~expect_owner:missing zs
                                  && List.exists (Peer.equal about) zs.Types.l_peers ->
-                            World.after w ~delay:cfg.Config.ca_recheck_delay
+                            World.after w ~delay:recheck_delay
                               (fun () ->
                                    ca_rpc w ~dst:about.Peer.addr
                                      ~make:(fun rid ->
@@ -471,7 +491,7 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
 let investigate_finger w ~strikes ~(y_table : Types.signed_table) ~index ~f_preds ~p1_succs k =
   let cfg = w.World.cfg in
   let space = w.World.space in
-  let generous = cfg.Config.ca_finger_max_age in
+  let generous = finger_max_age in
   let structural_ok =
     World.verify_table w ~revoked_ok:true ~max_age:generous y_table
     && World.verify_list w ~revoked_ok:true ~max_age:generous f_preds
@@ -505,7 +525,7 @@ let investigate_finger w ~strikes ~(y_table : Types.signed_table) ~index ~f_pred
               ~grace:cfg.Config.finger_update_every)
           witnesses
       in
-      if List.length qualifying < cfg.Config.interior_threshold then k Nothing
+      if List.length qualifying < interior_threshold then k Nothing
       else begin
         (* Stability confirmation: a qualifying witness must already appear
            in P'1's oldest retained proof. *)
@@ -520,7 +540,7 @@ let investigate_finger w ~strikes ~(y_table : Types.signed_table) ~index ~f_pred
                 List.filter
                   (fun p ->
                     p.Types.l_kind = Types.Succ_list
-                    && World.verify_list w ~revoked_ok:true ~max_age:w.World.cfg.Config.ca_intro_max_age p)
+                    && World.verify_list w ~revoked_ok:true ~max_age:intro_max_age p)
                   proofs
               in
               let oldest =
@@ -572,7 +592,7 @@ let investigate_finger w ~strikes ~(y_table : Types.signed_table) ~index ~f_pred
 
 let investigate_dos w ~(reporter : Peer.t) ~relays ~cid ~sent_at k =
   let cfg = w.World.cfg in
-  let deadline = sent_at +. cfg.Config.query_deadline +. cfg.Config.ca_dos_slack in
+  let deadline = sent_at +. cfg.Config.query_deadline +. dos_slack in
   let chain = Array.of_list (reporter :: relays) in
   let n = Array.length chain in
   if n < 2 then k Nothing
@@ -637,7 +657,7 @@ let investigate_dos w ~(reporter : Peer.t) ~relays ~cid ~sent_at k =
       walk 0
     in
     (* Let the witness protocol finish before demanding evidence. *)
-    World.after w ~delay:w.World.cfg.Config.ca_evidence_delay
+    World.after w ~delay:evidence_delay
       (fun () ->
            Array.iteri
              (fun i (peer : Peer.t) ->
@@ -691,14 +711,14 @@ let handle_report t report =
   else begin
     match report with
     | Types.R_neighbor { missing; claimed; _ } ->
-      let generous = w.World.cfg.Config.ca_evidence_max_age in
+      let generous = evidence_max_age in
       if World.verify_list w ~revoked_ok:true ~max_age:generous claimed && claimed.Types.l_kind = Types.Succ_list
       then
         investigate_omission w ~missing ~owner:claimed.Types.l_owner
           ~peers:claimed.Types.l_peers ~time:claimed.Types.l_time ~depth:0 k
       else k Nothing
     | Types.R_table_omission { missing; table; _ } ->
-      if World.verify_table w ~revoked_ok:true ~max_age:w.World.cfg.Config.ca_evidence_max_age table then
+      if World.verify_table w ~revoked_ok:true ~max_age:evidence_max_age table then
         investigate_omission w ~missing ~owner:table.Types.t_owner ~peers:table.Types.t_succs
           ~time:table.Types.t_time ~depth:0 k
       else k Nothing

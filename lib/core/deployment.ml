@@ -11,6 +11,17 @@ module Keys = Octo_crypto.Keys
 module Cert = Octo_crypto.Cert
 module Imap = Octo_sim.Imap
 
+(* RPC timeout, seconds. Protocol RPCs are single-attempt; callers with a
+   tighter or looser bound pass [?timeout]. *)
+let rpc_timeout = 1.5
+
+let cert_lifetime = 86_400.0
+
+(* Successive-timeout window before evicting a routing entry, and the
+   strikes within it that evict. *)
+let timeout_strike_window = 30.0
+let timeout_strikes = 2
+
 type relay = Node_state.relay = { r_peer : Peer.t; r_sid : int; r_key : bytes }
 type pair = Node_state.pair = { p_first : relay; p_second : relay; p_born : float }
 type back_route = Node_state.back_route = { br_prev : int; br_sid : int; br_at : float }
@@ -99,7 +110,6 @@ type t = {
       (** alive, unrevoked nodes keyed by ring id — the ground-truth ring,
           maintained by [make_node]/[kill]/[revive]/[revoke] so ownership
           queries binary-search instead of scanning the population *)
-  default_rpc_policy : Rpc.policy;
 }
 
 let now t = Engine.now t.engine
@@ -107,7 +117,6 @@ let node t addr = t.nodes.(addr)
 let n_nodes t = Array.length t.nodes
 let space t = t.space
 let engine t = t.engine
-let config t = t.cfg
 
 let fresh_sid t =
   let sid = t.next_sid in
@@ -160,9 +169,6 @@ let find_owner t ~key =
   | Some (_, p) -> Some p
   | None -> ( match Imap.first t.members with Some (_, p) -> Some p | None -> None)
 
-let ring_truth t =
-  Array.of_list (List.rev (Imap.fold (fun _ p acc -> p :: acc) t.members []))
-
 (* -- messaging -------------------------------------------------------- *)
 
 let send t ~src ~dst msg =
@@ -172,23 +178,14 @@ let send t ~src ~dst msg =
   (* octolint: allow no-raw-send — this is the one sanctioned wrapper. *)
   Net.send t.net ~src ~dst ~size msg
 
-let make_rpc_policy (cfg : Config.t) ?timeout ?attempts () =
-  Rpc.policy
-    ~attempts:(Option.value ~default:cfg.Config.rpc_attempts attempts)
-    ~backoff:cfg.Config.rpc_backoff ~backoff_mult:cfg.Config.rpc_backoff_mult
-    ~backoff_max:cfg.Config.rpc_backoff_max ~jitter:cfg.Config.rpc_jitter
-    ~timeout:(Option.value ~default:cfg.Config.rpc_timeout timeout)
-    ()
+(* Almost every call runs under the default timeout; that policy is
+   built once instead of allocating a record per RPC. *)
+let default_rpc_policy = Rpc.policy ~timeout:rpc_timeout ()
 
-(* Almost every call runs under the configured defaults; that policy is
-   built once at creation instead of allocating a record per RPC. *)
-let rpc_policy t ?timeout ?attempts () =
-  match (timeout, attempts) with
-  | None, None -> t.default_rpc_policy
-  | _ -> make_rpc_policy t.cfg ?timeout ?attempts ()
-
-let rpc t ~src ~dst ?timeout ?attempts ~make ~on_timeout k =
-  let policy = rpc_policy t ?timeout ?attempts () in
+let rpc t ~src ~dst ?timeout ~make ~on_timeout k =
+  let policy =
+    match timeout with None -> default_rpc_policy | Some timeout -> Rpc.policy ~timeout ()
+  in
   ignore
     (Rpc.call t.rpc ~src ~dst ~policy
        ~send:(fun rid -> send t ~src ~dst (make rid))
@@ -425,8 +422,8 @@ let update_preds t node peers = Node_state.update_preds node ~now:(now t) peers
 
 let note_timeout t node addr =
   let evict =
-    Node_state.note_timeout node ~now:(now t) ~window:t.cfg.Config.timeout_strike_window
-      ~strikes:t.cfg.Config.timeout_strikes addr
+    Node_state.note_timeout node ~now:(now t) ~window:timeout_strike_window
+      ~strikes:timeout_strikes addr
   in
   (* Under ring repair, an eviction is remembered so stabilization can
      probe the peer again after a partition heals. *)
@@ -439,7 +436,7 @@ let pred_known_since = Node_state.pred_known_since
 
 let issue_cert t ~node_id ~addr ~public =
   Cert.issue t.authority ~node_id ~addr ~public ~now:(now t)
-    ~expires:(now t +. t.cfg.Config.cert_lifetime)
+    ~expires:(now t +. cert_lifetime)
 
 let kill t addr =
   let n = t.nodes.(addr) in
@@ -463,8 +460,8 @@ let revive_as t addr ~id =
      materialize lazily — pin the value. *)
   n.rt <-
     Lazy.from_val
-      (Rtable.create t.space ~owner:peer ~num_fingers:t.cfg.Config.num_fingers
-         ~list_size:t.cfg.Config.list_size);
+      (Rtable.create t.space ~owner:peer ~num_fingers:Config.num_fingers
+         ~list_size:Config.list_size);
   n.keypair <- Keys.generate t.registry t.rng;
   n.cert <- issue_cert t ~node_id:id ~addr ~public:n.keypair.Keys.public;
   n.alive <- true;
@@ -610,16 +607,15 @@ let boot_successor_of_key (b : boot) key =
    before the [{ t with nodes }] rebuild, so only the shared mutable
    [boot] record (and immutable fields) may be read, never [t.nodes]. *)
 let materialize t (node : node) =
-  let cfg = t.cfg in
   let table =
-    Rtable.create t.space ~owner:node.peer ~num_fingers:cfg.Config.num_fingers
-      ~list_size:cfg.Config.list_size
+    Rtable.create t.space ~owner:node.peer ~num_fingers:Config.num_fingers
+      ~list_size:Config.list_size
   in
   let b = t.boot in
   let n = Array.length b.b_ring in
   if n > 0 && b.b_rank.(node.addr) >= 0 then begin
     let my_index = b.b_rank.(node.addr) in
-    let k = cfg.Config.list_size in
+    let k = Config.list_size in
     Rtable.set_succs table (List.init k (fun j -> b.b_ring.((my_index + j + 1) mod n)));
     Rtable.set_preds table (List.init k (fun j -> b.b_ring.((my_index - j - 1 + n) mod n)));
     (* [Node_state.update_preds] at boot time, inlined: it would force
@@ -629,10 +625,8 @@ let materialize t (node : node) =
     List.iter
       (fun (p : Peer.t) -> Imap.set node.pred_since p.Peer.addr (p.Peer.id, b.b_time))
       (Rtable.preds table);
-    for i = 0 to cfg.Config.num_fingers - 1 do
-      let ideal =
-        Id.ideal_finger t.space node.peer.Peer.id ~num_fingers:cfg.Config.num_fingers i
-      in
+    for i = 0 to Config.num_fingers - 1 do
+      let ideal = Id.ideal_finger t.space node.peer.Peer.id ~num_fingers:Config.num_fingers i in
       Rtable.set_finger table i (Some (boot_successor_of_key b ideal))
     done;
     List.iter
@@ -652,7 +646,7 @@ let successor_view t (node : node) =
     if n = 0 || b.b_rank.(node.addr) < 0 then None
     else begin
       let my_index = b.b_rank.(node.addr) in
-      let k = t.cfg.Config.list_size in
+      let k = Config.list_size in
       let res = ref None in
       let j = ref 0 in
       while !res = None && !j < k do
@@ -696,9 +690,7 @@ let bootstrap_topology t =
   let b = t.boot in
   b.b_ring <- sorted;
   b.b_rank <- rank;
-  b.b_time <- now t;
-  if t.cfg.Config.eager_tables then
-    Array.iter (fun node -> ignore (Node_state.rt node)) t.nodes
+  b.b_time <- now t
 
 (* Provision each node's initial relay-pair pool from global knowledge, as
    if the warm-up random walks had already run: pair members are uniform
@@ -724,7 +716,7 @@ let bootstrap_pools t =
       in
       if node.alive then
         node.pool <-
-          List.init t.cfg.Config.pool_target (fun _ ->
+          List.init Config.pool_target (fun _ ->
               { p_first = mk_relay (); p_second = mk_relay (); p_born = 0.0 }))
     t.nodes
 
@@ -781,7 +773,6 @@ let create ?(cfg = Config.default) ?(fraction_malicious = 0.0) ?(metrics_bucket 
       metrics;
       boot = { b_ring = [||]; b_rank = [||]; b_time = 0.0; b_purged = [] };
       members = Imap.create ();
-      default_rpc_policy = make_rpc_policy cfg ();
     }
   in
   (* Choose which slots are malicious uniformly (among the bootstrap

@@ -4,6 +4,12 @@ module Rtable = Octo_chord.Rtable
 module Engine = Octo_sim.Engine
 module Rng = Octo_sim.Rng
 
+(* Random spread before the anonymous consistency re-fetch. *)
+let max_delay = 2.0
+
+(* Probability an unchanged finger is re-vetted anyway. *)
+let revet_prob = 0.1
+
 let report w (node : World.node) r =
   World.send w ~src:node.World.addr ~dst:w.World.ca_addr (Types.Report_msg { rid = 0; report = r })
 
@@ -34,7 +40,7 @@ let consistency_check w (node : World.node) ~ideal ~finger k =
           else begin
             (* Step 2: after a short random delay, anonymously fetch P'1's
                successor list. *)
-            let delay = Rng.float w.World.rng w.World.cfg.Config.finger_check_max_delay in
+            let delay = Rng.float w.World.rng max_delay in
             World.after w ~delay (fun () ->
                    if not node.World.alive then k `Unknown
                    else begin
@@ -74,7 +80,7 @@ let is_manipulated w ~ideal ~finger =
 
 let watch_identification w (finger : Peer.t) =
   let fnode = World.node w finger.Peer.addr in
-  World.after w ~delay:w.World.cfg.Config.identification_grace (fun () ->
+  World.after w ~delay:Config.identification_grace (fun () ->
       if fnode.World.revoked then
         w.World.metrics.World.attacker_identified <-
           w.World.metrics.World.attacker_identified + 1)
@@ -126,10 +132,8 @@ let surveillance_round w (node : World.node) =
     end)
 
 let vet_finger_update w (node : World.node) ~index ~candidate ~evidence_table k =
-  let cfg = w.World.cfg in
   let ideal =
-    Id.ideal_finger w.World.space node.World.peer.Peer.id ~num_fingers:cfg.Config.num_fingers
-      index
+    Id.ideal_finger w.World.space node.World.peer.Peer.id ~num_fingers:Config.num_fingers index
   in
   let unchanged =
     match Rtable.finger (World.rt node) index with
@@ -138,7 +142,7 @@ let vet_finger_update w (node : World.node) ~index ~candidate ~evidence_table k 
   in
   (* Steady state is cheap: an unchanged finger is re-vetted only
      occasionally; a changed candidate is always vetted. *)
-  if unchanged && not (Rng.coin w.World.rng w.World.cfg.Config.finger_revet_prob) then k true
+  if unchanged && not (Rng.coin w.World.rng revet_prob) then k true
   else begin
     consistency_check w node ~ideal ~finger:candidate (fun outcome ->
         if outcome <> `Unknown && counted_attack w && is_manipulated w ~ideal ~finger:candidate

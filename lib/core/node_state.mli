@@ -78,8 +78,6 @@ val make :
 val is_active_malicious : t -> bool
 (** Malicious, alive, and not yet revoked. *)
 
-val truncate : int -> 'a list -> 'a list
-
 val push_intro : t -> now:float -> cap:int -> Types.signed_list -> unit
 val push_proof : t -> now:float -> queue_len:int -> Types.signed_list -> unit
 val buffer_table : t -> Types.signed_table -> unit

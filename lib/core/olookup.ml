@@ -5,6 +5,9 @@ module Rng = Octo_sim.Rng
 module Trace = Octo_sim.Trace
 module Imap = Octo_sim.Imap
 
+(* Dummy queries fire within this window. *)
+let dummy_fire_window = 2.0
+
 (* Test-only fault injection: when set, rewrites the owner a converged
    lookup reports, so the invariant checker's convergence check can be
    exercised against a known-bad run. Never set outside tests. The ref is
@@ -151,7 +154,7 @@ let fire_dummies w (node : World.node) ~ab ~pairs =
               (fun _ -> ())
           in
           World.after w
-            ~delay:(Rng.float w.World.rng w.World.cfg.Config.dummy_fire_window)
+            ~delay:(Rng.float w.World.rng dummy_fire_window)
             (fun () -> if node.World.alive then fire ())
         end)
       pairs
@@ -184,7 +187,7 @@ let anonymous w (node : World.node) ~key k =
     | None -> ());
     k r
   in
-  match Query.pick_pairs w node ~n:(1 + max_hops + cfg.Config.num_dummies) with
+  match Query.pick_pairs w node ~n:(1 + max_hops + Config.num_dummies) with
   | [] ->
     k { owner = None; hops = 0; queried = []; final_table = None; elapsed = 0.0; from_cache = false }
   | ab0 :: rest ->
@@ -219,7 +222,7 @@ let anonymous w (node : World.node) ~key k =
         match draw 4 with Some p -> p | None -> !ab)
     in
     let dummy_pairs =
-      List.filteri (fun i _ -> i < cfg.Config.num_dummies) rest
+      List.filteri (fun i _ -> i < Config.num_dummies) rest
     in
     fire_dummies w node ~ab:ab0 ~pairs:dummy_pairs;
     let fetch p cont =

@@ -242,7 +242,7 @@ let run_sybil { Regime.n; duration; seed; _ } =
   Engine.run (Scenario.engine sc) ~until:duration;
   let o = Regime.finish probe in
   let ca = Scenario.ca sc in
-  let list_size = cfg.Octopus.Config.list_size in
+  let list_size = Octopus.Config.list_size in
   {
     o with
     Regime.fields =
@@ -425,7 +425,7 @@ let run_churn_range { Regime.n; duration; seed; _ } =
         model :=
           Some
             (Ring_model.of_ids ~bits:cfg.Octopus.Config.bits
-               ~list_size:cfg.Octopus.Config.list_size ~ids ~seed:(seed + 0x31) ()))
+               ~list_size:Octopus.Config.list_size ~ids ~seed:(seed + 0x31) ()))
   in
   let spec =
     Scenario.at spec ~time:((0.3 *. d) +. 2.0) (fun w ->

@@ -3,8 +3,11 @@
     Each {!regime} names one fault-injection schedule; {!with_faults}
     installs it and arms the graceful-degradation paths —
     anonymous-path fallback ([anon_path_retries]) and post-heal ring
-    repair ([ring_repair]) — that the default config keeps off for trace
-    compatibility. A run drives the standard maintained workload, counts
+    repair ([ring_repair]). The default config keeps both off because
+    the paper-figure runs measure the off paths: ring repair's extra
+    predecessor-list pull in every stabilization round, and the
+    fallback's extra relay pairs, each change Table 3 and the [trace]
+    and [load] regimes (see {!Octopus.Config.t}). A run drives the standard maintained workload, counts
     lookup outcomes, and closes with {!Regime.finish}: the post-heal
     convergence check and the corrupted-documents-never-accepted audit.
 

@@ -62,7 +62,7 @@ let test_world_pool_provisioned () =
   Array.iter
     (fun (n : World.node) ->
       Alcotest.(check bool) "pool filled" true
-        (List.length n.World.pool = w.World.cfg.Config.pool_target);
+        (List.length n.World.pool = Config.pool_target);
       (* Session keys are actually installed at the relays. *)
       List.iter
         (fun (p : World.pair) ->
@@ -452,7 +452,7 @@ let test_omission_chain_depth_exhausted () =
     let outcome = ref None in
     Ca.investigate_omission w ~missing ~owner:claimed.Types.l_owner
       ~peers:claimed.Types.l_peers ~time:claimed.Types.l_time
-      ~depth:(w.World.cfg.Config.max_chain_depth + 1) (fun o -> outcome := Some o);
+      ~depth:(Config.max_chain_depth + 1) (fun o -> outcome := Some o);
     Engine.run_until_idle engine ();
     (match !outcome with
     | Some Ca.Nothing -> ()
@@ -579,7 +579,7 @@ let test_finger_check_detects_manipulation () =
            | Some p when (World.node w p.Peer.addr).World.malicious ->
              let ideal =
                Id.ideal_finger space mal.World.peer.Peer.id
-                 ~num_fingers:w.World.cfg.Config.num_fingers i
+                 ~num_fingers:Config.num_fingers i
              in
              let truth = Option.get (World.find_owner w ~key:ideal) in
              if
@@ -614,7 +614,7 @@ let test_finger_check_clean_on_honest () =
   in
   let ideal =
     Id.ideal_finger w.World.space other.World.peer.Peer.id
-      ~num_fingers:w.World.cfg.Config.num_fingers idx
+      ~num_fingers:Config.num_fingers idx
   in
   let outcome = ref None in
   Finger_check.consistency_check w checker ~ideal ~finger (fun o -> outcome := Some o);

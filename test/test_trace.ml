@@ -301,13 +301,19 @@ let test_different_seed_diverges () =
   Alcotest.(check bool) "different streams" true (a <> b)
 
 (* Lazy routing-table materialization is a pure memory optimization: a
-   thunked table replays exactly what the eager bootstrap would have
+   thunked table replays exactly what an eager bootstrap would have
    built, draws no randomness, and emits no trace events — so the same
-   seed must produce a byte-identical event stream either way. *)
+   seed must produce a byte-identical event stream whether every table
+   is forced right after bootstrap or left to first touch. *)
 let eager_lazy_rendered ~eager () =
   with_trace ~capacity:(1 lsl 18) (fun t ->
-      let cfg = { Octopus.Config.default with Octopus.Config.eager_tables = eager } in
-      let spec = Octo_experiments.Scenario.make ~seed:5 ~cfg ~n:64 ~duration:90.0 () in
+      let spec = Octo_experiments.Scenario.make ~seed:5 ~n:64 ~duration:90.0 () in
+      let force_all w =
+        for addr = 0 to Octopus.World.n_nodes w - 1 do
+          ignore (Octopus.World.rt (Octopus.World.node w addr))
+        done
+      in
+      let spec = if eager then Octo_experiments.Scenario.on_init spec force_all else spec in
       ignore (Octo_experiments.Scenario.run spec);
       List.map Trace.to_json (Trace.events t))
 
@@ -318,6 +324,33 @@ let test_eager_lazy_tables_identical () =
   List.iter2
     (fun x y -> if x <> y then Alcotest.failf "diverged: %s vs %s" x y)
     lazy_run eager_run
+
+(* Golden digests pin the rendered JSONL of two fixed runs across
+   commits, where the determinism tests above only compare two runs of
+   one build. A refactor that claims to preserve behaviour keeps both
+   literals; a change that moves the trace on purpose re-records them
+   and says why. (a) is the default-config run of the eager/lazy test;
+   (b) is one chaos regime, which sets [fault_plan], [ring_repair] and
+   [anon_path_retries]. *)
+let digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+let chaos_run_digest () =
+  let regime =
+    List.find
+      (fun r -> Octo_experiments.Regime.id r = "chaos/crash")
+      Octo_experiments.Chaos_exp.regimes
+  in
+  let o =
+    regime.Octo_experiments.Regime.body
+      { Octo_experiments.Regime.n = 32; duration = 60.0; seed = 5; queries = 0;
+        cache = false; chaos = false }
+  in
+  digest (rendered o)
+
+let test_golden_trace_digest () =
+  Alcotest.(check string) "default run" "b8d9cfcf64dc1bd4793dd7e68a734746"
+    (digest (eager_lazy_rendered ~eager:false ()));
+  Alcotest.(check string) "chaos/crash run" "6c122baa2296abdd7f0f7b294e7fa3a8" (chaos_run_digest ())
 
 (* Retry/backoff scheduling must be part of the deterministic record:
    identical seeds reproduce the jittered retry timeline byte-for-byte,
@@ -399,5 +432,6 @@ let () =
             test_eager_lazy_tables_identical;
           Alcotest.test_case "retry schedule deterministic" `Quick
             test_retry_schedule_deterministic;
+          Alcotest.test_case "golden trace digest" `Quick test_golden_trace_digest;
         ] );
     ]
