@@ -117,34 +117,26 @@ let kernels =
              let receipt = Octopus.World.sign_receipt w node ~cid:42 in
              assert (Octopus.World.verify_receipt w receipt)));
       (* Rpc substrate: the call/resolve fast path every protocol message
-         now rides on. *)
+         rides on. *)
       Test.make ~name:"rpc/call-resolve"
         (let engine = Octo_sim.Engine.create ~seed:6 () in
-         let rpc =
-           Octo_sim.Rpc.create engine ~rng:(Octo_sim.Rng.create ~seed:7) ()
-         in
-         let policy = Octo_sim.Rpc.policy ~timeout:1.0 () in
+         let rpc = Octo_sim.Rpc.create engine () in
          Staged.stage (fun () ->
-             let tok =
-               Octo_sim.Rpc.call rpc ~src:0 ~dst:1 ~policy
+             let rid =
+               Octo_sim.Rpc.call rpc ~src:0 ~dst:1 ~timeout:1.0
                  ~send:(fun _ -> ())
                  ~on_give_up:(fun () -> ())
                  (fun (_ : unit) -> ())
              in
-             assert (Octo_sim.Rpc.resolve rpc (Octo_sim.Rpc.rid tok) ())));
-      (* Rpc substrate: a full timeout -> retry -> give-up ladder. *)
+             assert (Octo_sim.Rpc.resolve rpc rid ())));
+      (* Rpc substrate: an unanswered call's timeout -> give-up. *)
       Test.make ~name:"rpc/timeout-giveup"
         (let engine = Octo_sim.Engine.create ~seed:8 () in
-         let rpc =
-           Octo_sim.Rpc.create engine ~rng:(Octo_sim.Rng.create ~seed:9) ()
-         in
-         let policy =
-           Octo_sim.Rpc.policy ~attempts:3 ~backoff:0.2 ~jitter:0.5 ~timeout:0.5 ()
-         in
+         let rpc = Octo_sim.Rpc.create engine () in
          Staged.stage (fun () ->
              let gave_up = ref false in
              ignore
-               (Octo_sim.Rpc.call rpc ~src:0 ~dst:1 ~policy
+               (Octo_sim.Rpc.call rpc ~src:0 ~dst:1 ~timeout:0.5
                   ~send:(fun _ -> ())
                   ~on_give_up:(fun () -> gave_up := true)
                   (fun (_ : unit) -> ()));

@@ -1,10 +1,15 @@
 module Engine = Octo_sim.Engine
 module Net = Octo_sim.Net
 module Rng = Octo_sim.Rng
+module Rpc = Octo_sim.Rpc
 
-type config = { bits : int; num_fingers : int; list_size : int; rpc_timeout : float }
-
-let default_config = { bits = 40; num_fingers = 12; list_size = 6; rpc_timeout = 1.5 }
+(* Identifier space width, fingers per table (the paper's setting),
+   successor/predecessor list length, and the seconds before a request
+   gives up. *)
+let bits = 40
+let num_fingers = 12
+let list_size = 6
+let rpc_timeout = 1.5
 
 type node = {
   mutable peer : Peer.t;
@@ -17,9 +22,8 @@ type t = {
   engine : Engine.t;
   net : Proto.msg Net.t;
   space : Id.space;
-  cfg : config;
   nodes : node array;
-  pending : Proto.msg Net.Pending.t;
+  rpc : Proto.msg Rpc.t;
   rng : Rng.t;
   used_ids : (int, unit) Hashtbl.t;
   mutable extension : (Proto.msg Net.envelope -> bool) option;
@@ -28,7 +32,6 @@ type t = {
 let engine t = t.engine
 let net t = t.net
 let space t = t.space
-let config t = t.cfg
 let rng t = t.rng
 let size t = Array.length t.nodes
 let node t addr = t.nodes.(addr)
@@ -117,7 +120,7 @@ let handle t addr (env : Proto.msg Net.envelope) =
     | None -> ())
   | (Proto.Table_resp _ | Proto.Succs_resp _ | Proto.Preds_resp _ | Proto.Ping_resp _
     | Proto.Proxy_resp _ | Proto.Find_resp _ ) as resp ->
-    ignore (Net.Pending.resolve t.pending (Proto.rid resp) resp)
+    ignore (Rpc.resolve t.rpc (Proto.rid resp) resp)
 
 let bootstrap t =
   (* Global-knowledge initial topology: exact successor/predecessor lists
@@ -146,20 +149,19 @@ let bootstrap t =
     (fun node ->
       let my_index = Hashtbl.find index_of node.peer.Peer.id in
       let rt = node.rt in
-      let k = t.cfg.list_size in
-      let succs = List.init k (fun j -> sorted.((my_index + j + 1) mod n)) in
-      let preds = List.init k (fun j -> sorted.((my_index - j - 1 + n) mod n)) in
+      let succs = List.init list_size (fun j -> sorted.((my_index + j + 1) mod n)) in
+      let preds = List.init list_size (fun j -> sorted.((my_index - j - 1 + n) mod n)) in
       Rtable.set_succs rt succs;
       Rtable.set_preds rt preds;
-      for i = 0 to t.cfg.num_fingers - 1 do
-        let ideal = Id.ideal_finger t.space node.peer.Peer.id ~num_fingers:t.cfg.num_fingers i in
+      for i = 0 to num_fingers - 1 do
+        let ideal = Id.ideal_finger t.space node.peer.Peer.id ~num_fingers i in
         Rtable.set_finger rt i (Some (successor_of_key ideal))
       done)
     t.nodes
 
-let create ?(config = default_config) engine latency ~n =
+let create engine latency ~n =
   assert (n <= Octo_sim.Latency.n latency);
-  let space = Id.space ~bits:config.bits in
+  let space = Id.space ~bits in
   let rng = Rng.split (Engine.rng engine) in
   let net = Net.create engine latency in
   (* octolint: allow compact-node-state — one population-level identity
@@ -170,9 +172,8 @@ let create ?(config = default_config) engine latency ~n =
       engine;
       net;
       space;
-      cfg = config;
       nodes = [||];
-      pending = Net.Pending.create engine;
+      rpc = Rpc.create engine ();
       rng;
       used_ids;
       extension = None;
@@ -184,8 +185,7 @@ let create ?(config = default_config) engine latency ~n =
         let peer = Peer.make ~id ~addr in
         {
           peer;
-          rt = Rtable.create space ~owner:peer ~num_fingers:config.num_fingers
-                 ~list_size:config.list_size;
+          rt = Rtable.create space ~owner:peer ~num_fingers ~list_size;
           alive = true;
           joined_at = 0.0;
         })
@@ -204,9 +204,7 @@ let revive t addr ~id =
   let node = t.nodes.(addr) in
   let peer = Peer.make ~id ~addr in
   node.peer <- peer;
-  node.rt <-
-    Rtable.create t.space ~owner:peer ~num_fingers:t.cfg.num_fingers
-      ~list_size:t.cfg.list_size;
+  node.rt <- Rtable.create t.space ~owner:peer ~num_fingers ~list_size;
   node.alive <- true;
   node.joined_at <- Engine.now t.engine;
   Net.set_alive t.net addr true
@@ -224,9 +222,10 @@ let find_owner t ~key =
     t.nodes;
   Option.map fst !best
 
-let rpc t ~src ~dst ?timeout ~make ~on_timeout k =
-  let timeout = Option.value ~default:t.cfg.rpc_timeout timeout in
-  let rid = Net.Pending.add t.pending ~timeout ~on_timeout k in
-  send t ~src ~dst (make rid)
+let rpc t ~src ~dst ?(timeout = rpc_timeout) ~make ~on_timeout k =
+  ignore
+    (Rpc.call t.rpc ~src ~dst ~timeout
+       ~send:(fun rid -> send t ~src ~dst (make rid))
+       ~on_give_up:on_timeout k)
 
 let set_extension t ext = t.extension <- Some ext

@@ -6,12 +6,9 @@
     in {!Stabilize}). Provides the RPC plumbing used by {!Lookup},
     {!Stabilize}, and the baseline lookups. *)
 
-type config = {
-  bits : int;  (** identifier space width (default 40) *)
-  num_fingers : int;  (** default 12 (paper's setting) *)
-  list_size : int;  (** successor/predecessor list length (default 6) *)
-  rpc_timeout : float;  (** seconds before a request is abandoned *)
-}
+val num_fingers : int
+(** Fingers per routing table: 12, the paper's setting. The identifier
+    space is 40 bits wide and successor/predecessor lists hold 6 peers. *)
 
 type node = {
   mutable peer : Peer.t;
@@ -22,14 +19,12 @@ type node = {
 
 type t
 
-val create :
-  ?config:config -> Octo_sim.Engine.t -> Octo_sim.Latency.t -> n:int -> t
+val create : Octo_sim.Engine.t -> Octo_sim.Latency.t -> n:int -> t
 (** Build and bootstrap a ring with [n] nodes on addresses [0 .. n-1]. *)
 
 val engine : t -> Octo_sim.Engine.t
 val net : t -> Proto.msg Octo_sim.Net.t
 val space : t -> Id.space
-val config : t -> config
 val rng : t -> Octo_sim.Rng.t
 val size : t -> int
 
@@ -61,8 +56,9 @@ val rpc :
   on_timeout:(unit -> unit) ->
   (Proto.msg -> unit) ->
   unit
-(** Send a request built by [make rid] and route the matching response (by
-    request id) to the continuation. *)
+(** Send a single-attempt request built by [make rid] through
+    {!Octo_sim.Rpc} and route the matching response (by request id) to
+    the continuation; [timeout] defaults to 1.5 s. *)
 
 val set_extension : t -> (Proto.msg Octo_sim.Net.envelope -> bool) -> unit
 (** Install a handler consulted for messages the core node logic does not

@@ -16,6 +16,9 @@ let plain_list = Wire.routing_entries Config.list_size
 let query = Wire.routing_item
 let onion_layers = 4 (* A, B, C, D *)
 
+(* Table 3 models the §5.1 maintenance configuration. *)
+let cfg = Config.default
+
 let relay_legs payload =
   (* An anonymous exchange crosses 5 legs out and 5 back; the per-node
      received share of one exchange is the full path traffic divided by
@@ -30,7 +33,7 @@ let relay_legs payload =
    as one of the four relays for other initiators (4 relay roles + 1
    endpoint role over 2 endpoints). *)
 
-let octopus_breakdown cfg ~n ~lookup_interval =
+let octopus_breakdown ~n ~lookup_interval =
   let st = float_of_int signed_table in
   let sl = float_of_int signed_list in
   let h = hops ~n in
@@ -69,7 +72,7 @@ let octopus_breakdown cfg ~n ~lookup_interval =
     ("lookups", lookups);
   ]
 
-let chord_breakdown cfg ~n ~lookup_interval =
+let chord_breakdown ~n ~lookup_interval =
   let pt = float_of_int plain_table in
   let pl = float_of_int plain_list in
   let h = hops ~n in
@@ -81,8 +84,8 @@ let chord_breakdown cfg ~n ~lookup_interval =
     ("lookups", h *. pt /. lookup_interval);
   ]
 
-let halo_breakdown cfg ~n ~lookup_interval =
-  let base = chord_breakdown cfg ~n ~lookup_interval in
+let halo_breakdown ~n ~lookup_interval =
+  let base = chord_breakdown ~n ~lookup_interval in
   let pt = float_of_int plain_table in
   let h = hops ~n in
   List.map
@@ -94,12 +97,12 @@ let halo_breakdown cfg ~n ~lookup_interval =
       else (name, v))
     base
 
-let breakdown ?(cfg = Config.default) ~n ~lookup_interval scheme =
+let breakdown ~n ~lookup_interval scheme =
   match scheme with
-  | Chord -> chord_breakdown cfg ~n ~lookup_interval
-  | Halo -> halo_breakdown cfg ~n ~lookup_interval
-  | Octopus -> octopus_breakdown cfg ~n ~lookup_interval
+  | Chord -> chord_breakdown ~n ~lookup_interval
+  | Halo -> halo_breakdown ~n ~lookup_interval
+  | Octopus -> octopus_breakdown ~n ~lookup_interval
 
-let kbps ?cfg ~n ~lookup_interval scheme =
-  let parts = breakdown ?cfg ~n ~lookup_interval scheme in
+let kbps ~n ~lookup_interval scheme =
+  let parts = breakdown ~n ~lookup_interval scheme in
   List.fold_left (fun acc (_, v) -> acc +. v) 0.0 parts *. 8.0 /. 1000.0

@@ -178,22 +178,15 @@ let send t ~src ~dst msg =
   (* octolint: allow no-raw-send — this is the one sanctioned wrapper. *)
   Net.send t.net ~src ~dst ~size msg
 
-(* Almost every call runs under the default timeout; that policy is
-   built once instead of allocating a record per RPC. *)
-let default_rpc_policy = Rpc.policy ~timeout:rpc_timeout ()
-
-let rpc t ~src ~dst ?timeout ~make ~on_timeout k =
-  let policy =
-    match timeout with None -> default_rpc_policy | Some timeout -> Rpc.policy ~timeout ()
-  in
+let rpc t ~src ~dst ?(timeout = rpc_timeout) ~make ~on_timeout k =
   ignore
-    (Rpc.call t.rpc ~src ~dst ~policy
+    (Rpc.call t.rpc ~src ~dst ~timeout
        ~send:(fun rid -> send t ~src ~dst (make rid))
        ~on_give_up:on_timeout k)
 
 let resolve t rid msg = Rpc.resolve t.rpc rid msg
 let rpc_caller t rid = Rpc.caller t.rpc rid
-let after t ~delay f = ignore (Rpc.after t.rpc ~delay f)
+let after t ~delay f = ignore (Engine.schedule t.engine ~delay f)
 
 (* -- signing -------------------------------------------------------- *)
 
@@ -751,10 +744,7 @@ let create ?(cfg = Config.default) ?(fraction_malicious = 0.0) ?(metrics_bucket 
       ca_addr = n + reserve;
       registry;
       authority = Cert.create_authority registry rng;
-      (* [rng] is passed by reference, not split: jitter is only drawn on
-         actual retries, so default single-attempt configurations leave
-         the deterministic stream byte-identical to the pre-Rpc runtime. *)
-      rpc = Rpc.create engine ~rng ~in_flight_cap:cfg.Config.rpc_in_flight_cap ();
+      rpc = Rpc.create engine ~in_flight_cap:cfg.Config.rpc_in_flight_cap ();
       rng;
       (* octolint: allow compact-node-state — population-level identity
          registry, one per deployment *)

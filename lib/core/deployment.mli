@@ -96,7 +96,7 @@ type t = {
   registry : Octo_crypto.Keys.registry;
   authority : Octo_crypto.Cert.authority;
   rpc : Types.msg Octo_sim.Rpc.t;
-      (** shared request/response substrate: ids, deadlines, retries,
+      (** shared request/response substrate: ids, timeouts,
           backpressure; also the anonymous-query wait table (a query's
           cid {e is} its rid) *)
   rng : Octo_sim.Rng.t;

@@ -49,13 +49,12 @@ let send w (node : World.node) ?(dummy = false) ~relays ~target ~query ?timeout 
       let keys = List.map (fun r -> r.World.r_key) relays in
       (* The query's cid is its rid in the shared RPC table, so the reply
          resolves the call like any other response. Relays de-duplicate
-         cids in flight, which would drop a retransmission — anonymous
-         queries are therefore always single-attempt; give-up after the
-         query deadline is the (reported) failure. *)
-      let policy = Rpc.policy ~timeout () in
+         cids in flight, which would drop a retransmission, so the one
+         attempt's give-up at the query deadline is the (reported)
+         failure. *)
       let cid_ref = ref (-1) in
       ignore
-        (Rpc.call w.World.rpc ~src:self ~dst:first.World.r_peer.Peer.addr ~policy
+        (Rpc.call w.World.rpc ~src:self ~dst:first.World.r_peer.Peer.addr ~timeout
            ~send:(fun cid ->
              cid_ref := cid;
              if Trace.on () then

@@ -40,8 +40,9 @@ val unpaired :
   baseline:(string * row) list -> current:(string * row) list -> string list * string list
 (** [(only_in_baseline, only_in_current)] kernel names, in input order.
     Unpaired kernels never gate ({!deltas} skips them): a baseline
-    recorded before a kernel existed — e.g. BENCH_PR5.json against a run
-    that now has [load/*] kernels — must not fail
+    recorded before a kernel existed — e.g. one of the early baselines
+    in commit 1121056, against a run that now has [load/*] kernels — must
+    not fail
     [--compare --fail-above], only report the asymmetry. *)
 
 val regressions : fail_above:float -> delta list -> delta list

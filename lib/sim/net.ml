@@ -185,54 +185,3 @@ let tx_bytes t addr = t.tx.(addr)
 let rx_bytes t addr = t.rx.(addr)
 let messages_sent t = t.sent
 let messages_delivered t = t.delivered
-
-module Pending = struct
-  type 'a entry = { k : 'a -> unit; timeout_ev : Engine.handle }
-
-  type 'a t = {
-    engine : Engine.t;
-    table : (int, 'a entry) Hashtbl.t;
-    mutable next_id : int;
-  }
-
-  let create engine = { engine; table = Hashtbl.create 64; next_id = 0 }
-
-  let add t ~timeout ~on_timeout k =
-    let id = t.next_id in
-    t.next_id <- t.next_id + 1;
-    let timeout_ev =
-      Engine.schedule t.engine ~delay:timeout (fun () ->
-          if Hashtbl.mem t.table id then begin
-            Hashtbl.remove t.table id;
-            if Trace.on () then
-              Trace.emit ~time:(Engine.now t.engine) ~node:(-1)
-                (Trace.Rpc_timeout { rid = id });
-            on_timeout ()
-          end)
-    in
-    Hashtbl.replace t.table id { k; timeout_ev };
-    id
-
-  let resolve t id resp =
-    match Hashtbl.find_opt t.table id with
-    | None ->
-      if Trace.on () then
-        Trace.emit ~time:(Engine.now t.engine) ~node:(-1) (Trace.Rpc_late { rid = id });
-      false
-    | Some entry ->
-      Hashtbl.remove t.table id;
-      Engine.cancel entry.timeout_ev;
-      if Trace.on () then
-        Trace.emit ~time:(Engine.now t.engine) ~node:(-1) (Trace.Rpc_resolve { rid = id });
-      entry.k resp;
-      true
-
-  let cancel t id =
-    match Hashtbl.find_opt t.table id with
-    | None -> ()
-    | Some entry ->
-      Hashtbl.remove t.table id;
-      Engine.cancel entry.timeout_ev
-
-  let outstanding t = Hashtbl.length t.table
-end

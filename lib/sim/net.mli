@@ -92,22 +92,3 @@ val tx_bytes : 'm t -> addr -> int
 val rx_bytes : 'm t -> addr -> int
 val messages_sent : 'm t -> int
 val messages_delivered : 'm t -> int
-
-(** Request/response correlation with timeouts, shared by all protocols. *)
-module Pending : sig
-  type 'a t
-
-  val create : Engine.t -> 'a t
-
-  val add : 'a t -> timeout:float -> on_timeout:(unit -> unit) -> ('a -> unit) -> int
-  (** [add t ~timeout ~on_timeout k] registers continuation [k] and returns
-      a fresh request id. If [resolve] is not called within [timeout]
-      simulated seconds, [on_timeout] fires instead, exactly once. *)
-
-  val resolve : 'a t -> int -> 'a -> bool
-  (** Deliver a response to a pending request. Returns [false] if the id is
-      unknown (late or duplicate response). *)
-
-  val cancel : 'a t -> int -> unit
-  val outstanding : 'a t -> int
-end

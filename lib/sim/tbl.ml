@@ -12,8 +12,9 @@
    buckets), so the O(n log n) snapshot is noise. The per-hop routing
    decision — pick the candidate closest to the key — is hot, and there
    [min_by] gives the same determinism without snapshotting: a minimum
-   over a total order is independent of visit order. BENCH_PR4.json vs
-   BENCH_PR3.json holds the lookup-kernel regression under 1%. *)
+   over a total order is independent of visit order. The kernel
+   baselines recorded before and after the switch (in commit 1121056) hold
+   the lookup-kernel regression under 1%. *)
 
 let snapshot_sorted ~cmp tbl =
   (* Duplicate keys (Hashtbl.add shadowing) would still leak bucket order

@@ -19,11 +19,13 @@ type data =
       (** reason is ["hook"], ["dead"] or ["unregistered"] *)
   | Rpc_timeout of { rid : int }
   | Rpc_resolve of { rid : int }
-  | Rpc_late of { rid : int }  (** resolve after timeout/cancel; ignored *)
+  | Rpc_late of { rid : int }  (** resolve of no flying call; ignored *)
   | Rpc_retry of { rid : int; attempt : int; backoff : float }
-      (** attempt [attempt] will be launched after [backoff] seconds *)
+      (** never emitted: calls are single-attempt; kept for the
+          benchmark probe's [rpc.retries] figure *)
   | Rpc_giveup of { rid : int; attempts : int }
-      (** the retry budget (or absolute deadline) is exhausted *)
+      (** the call timed out ([attempts = 1]) or was failed while queued
+          ([attempts = 0]) *)
   | Rpc_queued of { rid : int; dst : int }
       (** held back by the per-destination in-flight cap *)
   | Msg of { kind : string; dst : int; size : int }

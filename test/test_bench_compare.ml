@@ -80,8 +80,9 @@ let test_exit_code () =
   Alcotest.(check int) "faster -> 0" 0 (Bench_compare.exit_code ~fail_above:(Some 0.0) improved)
 
 (* Kernels present in only one file: reported by [unpaired], never gated.
-   A baseline recorded before a kernel existed (BENCH_PR5.json vs a run
-   that now has load/* kernels) must not fail --fail-above. *)
+   A baseline recorded before a kernel existed (an early one from commit
+   1121056 vs a run that now has load/* kernels) must not fail
+   --fail-above. *)
 let test_unpaired_reported () =
   let baseline = [ ("k1", row 100.0); ("gone", row 10.0); ("also-gone", row 1.0) ] in
   let current = [ ("k1", row 100.0); ("brand-new", row 5.0) ] in

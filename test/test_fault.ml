@@ -298,12 +298,11 @@ let test_no_poison_by_default () =
 
 let test_fail_queued_fast_fails_exactly_the_queue () =
   let e = Engine.create ~seed:1 () in
-  let rpc = Rpc.create e ~rng:(Rng.create ~seed:3) ~in_flight_cap:1 () in
+  let rpc = Rpc.create e ~in_flight_cap:1 () in
   let sent = ref [] and gave_up = ref [] and resolved = ref [] in
   let call tag =
     ignore
-      (Rpc.call rpc ~src:0 ~dst:1
-         ~policy:(Rpc.policy ~timeout:5.0 ())
+      (Rpc.call rpc ~src:0 ~dst:1 ~timeout:5.0
          ~send:(fun _rid -> sent := tag :: !sent)
          ~on_give_up:(fun () -> gave_up := tag :: !gave_up)
          (fun (_ : string) -> resolved := tag :: !resolved))
@@ -325,27 +324,6 @@ let test_fail_queued_fast_fails_exactly_the_queue () =
   Alcotest.(check (list string)) "no double give-up" [ "c"; "b" ] !gave_up;
   Engine.run e ~until:10.0;
   Alcotest.(check (list string)) "flyer timed out once, afterwards" [ "a"; "c"; "b" ] !gave_up
-
-let test_cancel_fires_neither_callback () =
-  let e = Engine.create ~seed:1 () in
-  let rpc = Rpc.create e ~rng:(Rng.create ~seed:3) () in
-  let outcomes = ref 0 in
-  let tok =
-    Rpc.call rpc ~src:0 ~dst:1
-      ~policy:(Rpc.policy ~timeout:1.0 ~attempts:3 ())
-      ~send:(fun _ -> ())
-      ~on_give_up:(fun () -> incr outcomes)
-      (fun (_ : string) -> incr outcomes)
-  in
-  let rid = Rpc.rid tok in
-  Rpc.cancel rpc tok;
-  Rpc.cancel rpc tok;
-  (* A late response after cancellation is rejected, and the timeout
-     machinery never fires the give-up. *)
-  Alcotest.(check bool) "late response rejected" false (Rpc.resolve rpc rid "late");
-  Engine.run e ~until:30.0;
-  Alcotest.(check int) "neither callback ever fired" 0 !outcomes;
-  Alcotest.(check int) "no outstanding state" 0 (Rpc.outstanding rpc)
 
 let () =
   Alcotest.run "fault"
@@ -374,7 +352,5 @@ let () =
       ( "rpc-under-death",
         [ Alcotest.test_case "fail_queued fast-fails queue" `Quick
             test_fail_queued_fast_fails_exactly_the_queue;
-          Alcotest.test_case "cancel fires neither callback" `Quick
-            test_cancel_fires_neither_callback;
         ] );
     ]

@@ -352,43 +352,42 @@ let test_golden_trace_digest () =
     (digest (eager_lazy_rendered ~eager:false ()));
   Alcotest.(check string) "chaos/crash run" "6c122baa2296abdd7f0f7b294e7fa3a8" (chaos_run_digest ())
 
-(* Retry/backoff scheduling must be part of the deterministic record:
-   identical seeds reproduce the jittered retry timeline byte-for-byte,
-   and a different jitter stream diverges. *)
-let contains s sub =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-  go 0
+(* The same pin for paper-figure outputs, which the trace digests above
+   do not reach: Table 3 + Figure 7(a) run the Chord and Halo request
+   paths next to Octopus's, and Figures 3(a) and 9 the Octopus RPC
+   timeouts and the selective-DoS receipt give-ups. Reduced sizes keep
+   each run under a second; floats are rendered exactly ([%h]). *)
+let pairs name s = name :: List.map (fun (x, y) -> Printf.sprintf "%h %h" x y) s
 
-let rpc_retry_trace ~seed ~rng_seed () =
-  let t = Trace.create () in
-  Trace.install t;
-  Fun.protect ~finally:Trace.uninstall (fun () ->
-      let e = Engine.create ~seed () in
-      let rpc = Octo_sim.Rpc.create e ~rng:(Rng.create ~seed:rng_seed) () in
-      let policy =
-        Octo_sim.Rpc.policy ~attempts:4 ~backoff:0.3 ~jitter:0.5 ~timeout:1.0 ()
-      in
-      for i = 0 to 5 do
-        ignore
-          (Octo_sim.Rpc.call rpc ~src:i ~dst:(100 + i) ~policy
-             ~send:(fun _ -> ())
-             ~on_give_up:(fun () -> ())
-             (fun (_ : unit) -> ()))
-      done;
-      Engine.run e ~until:60.0;
-      List.map Trace.to_json (Trace.events t))
+let efficiency_digest () =
+  let module E = Octo_experiments.Efficiency in
+  let octopus = E.octopus_latency ~n:40 ~lookups:60 ~seed:3 () in
+  let chord = E.chord_latency ~n:40 ~lookups:60 ~seed:3 () in
+  let halo = E.halo_latency ~n:40 ~lookups:60 ~seed:3 () in
+  let exact (r : E.latency_result) =
+    pairs (Printf.sprintf "%h %h %h %d/%d" r.mean r.median r.p90 r.succeeded r.attempted) r.cdf
+  in
+  digest
+    (Octo_experiments.Report.table3 ~octopus ~chord ~halo ~bandwidth:(E.bandwidth_table ())
+    :: Octo_experiments.Report.fig7a ~octopus ~chord ~halo
+    :: List.concat_map exact [ octopus; chord; halo ])
 
-let test_retry_schedule_deterministic () =
-  let a = rpc_retry_trace ~seed:3 ~rng_seed:9 () in
-  let b = rpc_retry_trace ~seed:3 ~rng_seed:9 () in
-  Alcotest.(check (list string)) "identical retry traces" a b;
-  Alcotest.(check bool) "retries recorded" true
-    (List.exists (fun s -> contains s "rpc_retry") a);
-  Alcotest.(check bool) "give-ups recorded" true
-    (List.exists (fun s -> contains s "rpc_giveup") a);
-  let c = rpc_retry_trace ~seed:3 ~rng_seed:10 () in
-  Alcotest.(check bool) "different jitter stream diverges" true (a <> c)
+let security_digest (r : Octo_experiments.Security.result) =
+  digest
+    (Printf.sprintf "%h %h %h %d %h" r.false_positive r.false_negative r.false_alarm r.reports
+       r.final_malicious_fraction
+    :: List.concat
+         [ pairs "mal" r.mal_frac; pairs "lookups" r.lookups_cum; pairs "biased" r.biased_cum;
+           pairs "ca" r.ca_msgs_cum ])
+
+let test_golden_figure_digest () =
+  Alcotest.(check string) "table 3 + fig 7a" "f935090f7e2c47527085b9a8eca26d83"
+    (efficiency_digest ());
+  let module S = Octo_experiments.Security in
+  Alcotest.(check string) "fig 3a" "5a2701ebd1cdfe128ffcd08ac0133b31"
+    (security_digest (S.fig3a ~n:64 ~duration:120.0 ~seed:3 ~rate:1.0 ()));
+  Alcotest.(check string) "fig 9" "7b53e09229dc3b17b20a36c94224992b"
+    (security_digest (S.fig9 ~n:64 ~duration:120.0 ~seed:3 ~rate:1.0 ()))
 
 (* ------------------------------------------------------------------ *)
 
@@ -430,8 +429,7 @@ let () =
           Alcotest.test_case "different seed diverges" `Quick test_different_seed_diverges;
           Alcotest.test_case "eager vs lazy tables identical" `Quick
             test_eager_lazy_tables_identical;
-          Alcotest.test_case "retry schedule deterministic" `Quick
-            test_retry_schedule_deterministic;
           Alcotest.test_case "golden trace digest" `Quick test_golden_trace_digest;
+          Alcotest.test_case "golden figure digest" `Quick test_golden_figure_digest;
         ] );
     ]
